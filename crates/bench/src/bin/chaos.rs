@@ -52,12 +52,12 @@ use cfmerge_bench::artifact::{self, RunArtifact, RunRecord};
 use cfmerge_bench::report::format_table;
 use cfmerge_core::inputs::InputSpec;
 use cfmerge_core::params::SortParams;
-use cfmerge_core::recovery::{aggregate_counters, pipeline_shape, RobustConfig, SortService};
+use cfmerge_core::recovery::{pipeline_shape, RobustConfig};
 use cfmerge_core::resilience::{
-    AdmissionConfig, BreakerConfig, CheckpointPolicy, ClusterConfig, ClusterReport, ClusterService,
-    DeviceFaultEvent, DeviceFaultKind, DeviceFaultPlan, HedgeConfig, LoadGenConfig,
-    MigrationConfig, ResilienceConfig, RetryBudgetConfig, ServiceCounters, ShedPolicy,
-    TrafficShape,
+    aggregate_counters, AdmissionConfig, BreakerConfig, CheckpointPolicy, ClusterConfig,
+    ClusterReport, ClusterService, DeviceFaultEvent, DeviceFaultKind, DeviceFaultPlan, HedgeConfig,
+    LoadGenConfig, MigrationConfig, ResilienceConfig, RetryBudgetConfig, ServiceCounters,
+    ShedPolicy, SortService, TrafficShape,
 };
 use cfmerge_core::sort::{SortAlgorithm, SortConfig, SortError};
 use cfmerge_core::telemetry::MetricsSnapshot;

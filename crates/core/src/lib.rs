@@ -26,9 +26,10 @@
 //!   with bit-stable snapshots and Prometheus export (see
 //!   `docs/TELEMETRY.md`).
 //! * [`verify`] / [`recovery`] — output verification (sortedness +
-//!   multiset checksums), block-granular re-execution under injected
-//!   faults, graceful degradation, and the batch [`recovery::SortService`]
-//!   (see `docs/ROBUSTNESS.md`).
+//!   multiset checksums) and the one pipeline driver every sort entry
+//!   point runs through: block-granular re-execution under injected
+//!   faults and graceful degradation (see `docs/ROBUSTNESS.md`). The
+//!   batch [`resilience::service::SortService`] runs on top of it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,12 @@
-//! Verified recovery and graceful degradation for the sort pipelines,
-//! plus the batch [`SortService`] front-end.
+//! The pipeline driver: verified, block-granular execution of either
+//! sort pipeline, with recovery and graceful degradation.
 //!
-//! [`simulate_sort_robust`] runs the same pipeline as
-//! [`crate::sort::pipeline::simulate_sort`] but verifies every block's
-//! output (sortedness + multiset checksum, see [`crate::verify`]) and
-//! recovers from failures at block granularity:
+//! Every entry point runs through this one driver: the plain
+//! [`simulate_sort`](crate::sort::simulate_sort) family (no faults, no
+//! retries, no fallback) and the robust trio [`simulate_sort_robust`],
+//! [`simulate_sort_robust_checkpointed`] and [`resume_sort_robust`].
+//! Every block's output is verified (sortedness + multiset checksum, see
+//! [`crate::verify`]), and failures are recovered at block granularity:
 //!
 //! 1. **Retry**: a block whose output fails verification is re-executed
 //!    up to [`RobustConfig::max_retries`] times. Each retry is priced in
@@ -22,34 +24,29 @@
 //!    [`SortError::UnrecoverableFault`] — never as silently corrupt
 //!    output.
 //!
-//! With an empty [`FaultPlan`] the robust driver produces bit-identical
-//! output, profile, and modeled seconds to the plain pipeline (one clean
-//! execution per block, verification passes first try).
+//! A block whose [`FaultPlan`] arms no site runs the kernel with
+//! [`NoFaults`], so with an empty plan every block takes the zero-cost
+//! fault-free path and verification is the only work added.
 //!
 //! See `docs/ROBUSTNESS.md` for the full design.
 
 use crate::params::SortParams;
 use crate::resilience::checkpoint::{CheckpointPolicy, SortCheckpoint};
 use crate::resilience::hedge::{HedgeConfig, HedgeCounters};
-use crate::sort::blocksort::{blocksort_block_faulty, MergeStrategy};
+use crate::sort::blocksort::blocksort_block_faulty;
 use crate::sort::error::{validate_sort_config, Degradation, SortError};
 use crate::sort::key::SortKey;
 use crate::sort::merge_pass::{merge_pass_block_faulty, MergeChunkJob};
 use crate::sort::pipeline::{KernelReport, SortAlgorithm, SortConfig, SortRun};
 use crate::verify::{multiset_checksum, verify_sorted_checksum, VerifyFailure};
-use cfmerge_gpu_sim::check::NoCheck;
-use cfmerge_gpu_sim::fault::{BlockFaults, FaultInjector, FaultPlan, InjectionRecord};
+use cfmerge_gpu_sim::check::{MemCheck, NoCheck};
+use cfmerge_gpu_sim::fault::{FaultInjector, FaultPlan, InjectionRecord, NoFaults};
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
-use cfmerge_gpu_sim::trace::NullTracer;
+use cfmerge_gpu_sim::trace::{NullTracer, Tracer};
 use cfmerge_json::{FromJson, Json, JsonError, ToJson};
 use cfmerge_mergepath::diagonal::merge_path_steps;
 use cfmerge_mergepath::partition::partition_merge;
 use rayon::prelude::*;
-
-// The batch service moved to `crate::resilience::service` when it grew
-// admission control, retry budgets, and circuit breakers; re-exported
-// here so existing `recovery::SortService` paths keep working.
-pub use crate::resilience::service::{aggregate_counters, JobId, JobOutcome, SortService};
 
 /// Configuration of the robust driver: the underlying sort configuration
 /// plus the recovery policy.
@@ -264,17 +261,90 @@ pub fn pipeline_shape(n: usize, params: &SortParams) -> Vec<u64> {
     vec![runs as u64; 1 + runs.trailing_zeros() as usize]
 }
 
-fn strategy_of(algo: SortAlgorithm) -> MergeStrategy {
-    match algo {
-        SortAlgorithm::ThrustMergesort => MergeStrategy::DirectSerial,
-        SortAlgorithm::CfMerge => MergeStrategy::Gather,
+/// Per-block `(tracer, checker)` of every launch, aligned with
+/// [`SortRun::kernels`].
+pub(crate) type Observers<Tr, Ck> = Vec<Vec<(Tr, Ck)>>;
+
+/// Hands every block execution a fresh tracer and checker.
+pub(crate) type Observe<'a, Tr, Ck> = &'a (dyn Fn() -> (Tr, Ck) + Sync);
+
+/// One kernel launch of the pipeline: which kernel, over which source
+/// buffer. [`Exec::run`] holds the one call of each kernel's `*_faulty`
+/// entry point, shared by attempts, retries and hedges.
+#[derive(Clone, Copy)]
+enum Kernel<'a, K> {
+    /// Launch 0: block `b` sorts tile `b` of `src`.
+    BlockSort { src: &'a [K] },
+    /// A merge pass: block `b` merges `jobs[b]` out of `src`.
+    MergePass { src: &'a [K], jobs: &'a [MergeChunkJob] },
+}
+
+impl<K: SortKey> Kernel<'_, K> {
+    /// Multiset checksum block `b`'s output must carry: its input tile's,
+    /// or by additivity the sum of its two merge ranges'.
+    fn expect(&self, b: usize, tile: usize) -> u64 {
+        match *self {
+            Kernel::BlockSort { src } => multiset_checksum(&src[b * tile..(b + 1) * tile]),
+            Kernel::MergePass { src, jobs } => {
+                let job = jobs[b];
+                multiset_checksum(&src[job.a_begin..job.a_end])
+                    .wrapping_add(multiset_checksum(&src[job.b_begin..job.b_end]))
+            }
+        }
     }
 }
 
-/// Outcome of one block's execute-verify-retry loop.
-struct BlockExec {
-    /// Profile of the successful (or last) attempt.
+/// Host-side partition of one merge pass over sorted runs of `width`:
+/// one job per output tile, plus the modeled cost of the device's
+/// partition kernel that finds those splits (one boundary search per
+/// block, 2 uncoalesced global loads per iteration).
+fn partition_pass<K: SortKey>(
+    src: &[K],
+    width: usize,
+    tile: usize,
+    count_accesses: bool,
+) -> (Vec<MergeChunkJob>, KernelProfile) {
+    let pair = 2 * width;
+    let mut jobs = Vec::with_capacity(src.len() / tile);
+    let mut search_cost = KernelProfile::new();
+    for pair_lo in (0..src.len()).step_by(pair) {
+        let a = &src[pair_lo..pair_lo + width];
+        let b = &src[pair_lo + width..pair_lo + pair];
+        for c in partition_merge(a, b, tile) {
+            jobs.push(MergeChunkJob {
+                a_begin: pair_lo + c.a_begin,
+                a_end: pair_lo + c.a_end,
+                b_begin: pair_lo + width + c.b_begin,
+                b_end: pair_lo + width + c.b_end,
+            });
+        }
+        if count_accesses {
+            let blocks_in_pair = (pair / tile) as u64;
+            let steps = u64::from(merge_path_steps(pair / 2, width, width));
+            let s = search_cost.phase_mut(PhaseClass::Search);
+            s.global_ld_requests += blocks_in_pair * steps * 2;
+            s.global_ld_sectors += blocks_in_pair * steps * 2;
+            s.alu_ops += blocks_in_pair * steps * 6;
+        }
+    }
+    (jobs, search_cost)
+}
+
+/// One verified execution of one block.
+struct Attempt<Tr, Ck> {
     profile: KernelProfile,
+    observers: (Tr, Ck),
+    spike_cycles: u64,
+    injections: Vec<InjectionRecord>,
+    verdict: Result<(), VerifyFailure>,
+}
+
+/// Outcome of one block's execute-verify-retry loop.
+struct BlockExec<Tr, Ck> {
+    /// Profile of the successful attempt.
+    profile: KernelProfile,
+    /// Observers of the successful attempt (`None` if none succeeded).
+    observers: Option<(Tr, Ck)>,
     /// Merged profiles of every failed attempt that was re-run.
     retry_profile: KernelProfile,
     /// Total executions (1 = verified first try).
@@ -292,60 +362,47 @@ struct BlockExec {
     /// Straggler spike cycles avoided by winning hedges.
     hedge_cycles_saved: u64,
     /// Merged profiles of every hedged duplicate (priced as an auxiliary
-    /// launch in `settle_kernel`).
+    /// launch in [`Exec::settle`]).
     hedge_profile: KernelProfile,
 }
 
-/// Execute-verify loop for one block: `attempt_fn` runs the kernel under
-/// the given injector and returns its profile, the spent injector, and
-/// the verification verdict on what it wrote.
-fn recover_block(
-    kernel_idx: u32,
-    kernel_name: &str,
-    block_idx: usize,
-    plan: &FaultPlan,
-    fallback: bool,
-    max_retries: u32,
-    mut attempt_fn: impl FnMut(BlockFaults) -> (KernelProfile, BlockFaults, Result<(), VerifyFailure>),
-) -> BlockExec {
-    let mut out = BlockExec {
-        profile: KernelProfile::new(),
-        retry_profile: KernelProfile::new(),
-        executions: 0,
-        spike_cycles: 0,
-        injections: Vec::new(),
-        detections: Vec::new(),
-        failure: None,
-        hedges: 0,
-        hedge_wins: 0,
-        hedge_cycles_saved: 0,
-        hedge_profile: KernelProfile::new(),
-    };
-    for attempt in 0..=max_retries {
-        let injector = plan.block_faults(kernel_idx, block_idx as u32, attempt, fallback);
-        let (profile, injector, verdict) = attempt_fn(injector);
-        out.executions = attempt + 1;
-        out.spike_cycles += injector.spike_cycles();
-        out.injections.extend(injector.into_records());
-        match verdict {
-            Ok(()) => {
-                out.profile = profile;
-                out.failure = None;
-                return out;
-            }
-            Err(failure) => {
-                out.detections.push(DetectionRecord {
-                    kernel: kernel_name.to_string(),
-                    block: block_idx,
-                    attempt,
-                    failure,
-                });
-                out.retry_profile.merge(&profile);
-                out.failure = Some(failure);
-            }
+impl<Tr, Ck> BlockExec<Tr, Ck> {
+    fn new() -> Self {
+        Self {
+            profile: KernelProfile::new(),
+            observers: None,
+            retry_profile: KernelProfile::new(),
+            executions: 0,
+            spike_cycles: 0,
+            injections: Vec::new(),
+            detections: Vec::new(),
+            failure: None,
+            hedges: 0,
+            hedge_wins: 0,
+            hedge_cycles_saved: 0,
+            hedge_profile: KernelProfile::new(),
         }
     }
-    out
+
+    /// Apply one hedged duplicate execution to its straggler.
+    ///
+    /// A winning hedge (verified output, fewer spike cycles than the
+    /// straggler accumulated) replaces the block's latency contribution;
+    /// the output bytes need no replacing, because a verified duplicate
+    /// *is* the unique sorted permutation the straggler already produced.
+    /// A losing or corrupted hedge is discarded — its injections are still
+    /// recorded, but a failed duplicate is not a detection against the
+    /// primary result.
+    fn apply_hedge(&mut self, hedge: Attempt<Tr, Ck>) {
+        self.hedges += 1;
+        self.hedge_profile.merge(&hedge.profile);
+        self.injections.extend(hedge.injections);
+        if hedge.verdict.is_ok() && hedge.spike_cycles < self.spike_cycles {
+            self.hedge_wins += 1;
+            self.hedge_cycles_saved += self.spike_cycles - hedge.spike_cycles;
+            self.spike_cycles = hedge.spike_cycles;
+        }
+    }
 }
 
 /// A block that exhausted its retries — the trigger for fallback (or,
@@ -368,132 +425,28 @@ impl BlockFailure {
     }
 }
 
-/// Cross-run accumulator (survives a fallback restart).
-#[derive(Default)]
-struct RunStats {
-    counters: RecoveryCounters,
-    injections: Vec<InjectionRecord>,
-    detections: Vec<DetectionRecord>,
-    backoff_seconds: f64,
-    retry_seconds: f64,
-    spike_seconds: f64,
-    hedges: HedgeCounters,
-}
-
-/// Outcome of one hedged duplicate execution, applied to its straggler's
-/// [`BlockExec`] before the launch settles.
-///
-/// A winning hedge (verified output, fewer spike cycles than the
-/// straggler accumulated) replaces the block's latency contribution; the
-/// output bytes need no replacing, because a verified duplicate *is* the
-/// unique sorted permutation the straggler already produced. A losing or
-/// corrupted hedge is discarded — its injections are still recorded, but
-/// a failed duplicate is not a detection against the primary result.
-fn apply_hedge(
-    ex: &mut BlockExec,
-    profile: KernelProfile,
-    injector: BlockFaults,
-    verdict: Result<(), VerifyFailure>,
-) {
-    let hedge_spikes = injector.spike_cycles();
-    ex.hedges += 1;
-    ex.hedge_profile.merge(&profile);
-    ex.injections.extend(injector.into_records());
-    if verdict.is_ok() && hedge_spikes < ex.spike_cycles {
-        ex.hedge_wins += 1;
-        ex.hedge_cycles_saved += ex.spike_cycles - hedge_spikes;
-        ex.spike_cycles = hedge_spikes;
+impl RecoveryReport {
+    /// Record a fallback to the Thrust pipeline.
+    fn fall_back(&mut self, from: SortAlgorithm, reason: String) {
+        self.degradations.push(Degradation::Fallback {
+            from,
+            to: SortAlgorithm::ThrustMergesort,
+            reason,
+        });
+        self.counters.fallbacks += 1;
     }
 }
 
-/// Fold one kernel's per-block outcomes into the stats, price the launch
-/// (main profile as one launch; retries as an extra launch; spikes at the
-/// device clock; backoff as configured), and surface the first
-/// unrecovered block if any.
-///
-/// Returns the kernel report plus the extra modeled seconds beyond the
-/// main launch.
-fn settle_kernel(
-    cfg: &SortConfig,
-    rcfg: &RobustConfig,
-    name: &str,
-    blocks: u64,
-    base_profile: KernelProfile,
-    execs: Vec<BlockExec>,
-    stats: &mut RunStats,
-) -> Result<(KernelReport, f64, Option<BlockFailure>), SortError> {
-    let mut profile = base_profile;
-    let mut retry_profile = KernelProfile::new();
-    let mut retried_execs = 0u64;
-    let mut spike_cycles = 0u64;
-    let mut backoff = 0.0f64;
-    let mut failure: Option<BlockFailure> = None;
-    let mut hedge_profile = KernelProfile::new();
-    let mut hedged_execs = 0u64;
-    for (block, mut ex) in execs.into_iter().enumerate() {
-        profile.merge(&ex.profile);
-        retry_profile.merge(&ex.retry_profile);
-        stats.counters.faults_injected += ex.injections.len() as u64;
-        stats.counters.faults_detected += ex.detections.len() as u64;
-        stats.injections.append(&mut ex.injections);
-        stats.detections.append(&mut ex.detections);
-        hedge_profile.merge(&ex.hedge_profile);
-        hedged_execs += u64::from(ex.hedges);
-        stats.counters.hedges_launched += u64::from(ex.hedges);
-        stats.counters.hedges_won += u64::from(ex.hedge_wins);
-        stats.hedges.launched += u64::from(ex.hedges);
-        stats.hedges.won += u64::from(ex.hedge_wins);
-        stats.hedges.cycles_saved += ex.hedge_cycles_saved;
-        if ex.executions > 1 {
-            let retries = u64::from(ex.executions - 1);
-            stats.counters.blocks_retried += 1;
-            stats.counters.retries += retries;
-            retried_execs += retries;
-            // Σ_{r=1..retries} backoff · 2^(r−1) = backoff · (2^retries − 1).
-            backoff += rcfg.retry_backoff_s * (2f64.powi(retries as i32) - 1.0);
-        }
-        spike_cycles += ex.spike_cycles;
-        if failure.is_none() {
-            if let Some(f) = ex.failure {
-                failure = Some(BlockFailure {
-                    kernel: name.to_string(),
-                    block,
-                    attempts: ex.executions,
-                    failure: f,
-                });
-            }
-        }
-    }
-    let unlaunchable = |why| SortError::Unlaunchable { device: cfg.device.name.clone(), why };
-    let time = cfg
-        .timing
-        .kernel_time(&cfg.device, &profile.total(), &cfg.launch(blocks))
-        .map_err(unlaunchable)?;
-    let mut extra = 0.0f64;
-    if retried_execs > 0 {
-        let rt = cfg
-            .timing
-            .kernel_time(&cfg.device, &retry_profile.total(), &cfg.launch(retried_execs))
-            .map_err(unlaunchable)?;
-        extra += rt.seconds;
-        stats.retry_seconds += rt.seconds;
-    }
-    if hedged_execs > 0 {
-        // Hedged duplicates are enqueued device-side while the primary
-        // launch drains — priced in full minus the host launch overhead.
-        let ht = cfg
-            .timing
-            .auxiliary_launch_time(&cfg.device, &hedge_profile.total(), &cfg.launch(hedged_execs))
-            .map_err(unlaunchable)?;
-        extra += ht.seconds;
-        stats.hedges.hedge_seconds += ht.seconds;
-    }
-    let spike_s = spike_cycles as f64 / cfg.device.clock_hz;
-    extra += spike_s;
-    stats.spike_seconds += spike_s;
-    extra += backoff;
-    stats.backoff_seconds += backoff;
-    Ok((KernelReport { name: name.to_string(), blocks, profile, time }, extra, failure))
+/// A settled kernel launch.
+struct Launched<Tr, Ck> {
+    report: KernelReport,
+    /// Modeled seconds beyond the main launch: retries, hedges, spikes,
+    /// backoff.
+    extra_seconds: f64,
+    /// Observers of each block's accepted attempt.
+    observers: Vec<(Tr, Ck)>,
+    /// The first block that stayed failed after its retries.
+    failure: Option<BlockFailure>,
 }
 
 /// Checkpoint control threaded through one pipeline execution: the
@@ -509,289 +462,390 @@ impl CkptCtl {
     }
 }
 
-/// One pipeline execution under the plan. `Ok(Err(_))` is a block that
-/// stayed failed after retries (the fallback trigger); outer `Err` is a
-/// configuration-level error (or a simulated kill, when `ckpt` asks for
-/// one). With `resume`, the block sort and completed merge passes are
-/// skipped and execution continues from the checkpoint's verified state
-/// (the caller has already validated it).
-#[allow(clippy::too_many_arguments)]
-fn run_pipeline<K: SortKey>(
-    input: &[K],
+/// One pipeline execution's settings: launch configuration, recovery
+/// policy, fault plan, pipeline, and the per-block observer factory.
+struct Exec<'a, Tr, Ck> {
+    cfg: &'a SortConfig,
+    rcfg: &'a RobustConfig,
+    plan: &'a FaultPlan,
     algo: SortAlgorithm,
-    cfg: &SortConfig,
-    rcfg: &RobustConfig,
-    plan: &FaultPlan,
+    /// Running the degraded fallback pipeline (fault persistence keys on
+    /// it).
     fallback: bool,
-    stats: &mut RunStats,
-    resume: Option<&SortCheckpoint>,
-    ckpt: &mut CkptCtl,
-) -> Result<Result<SortRun<K>, BlockFailure>, SortError> {
-    let banks = cfg.device.bank_model();
-    let strategy = strategy_of(algo);
-    let (e, u) = (cfg.params.e, cfg.params.u);
-    let tile = u * e;
-    let n = if let Some(cp) = resume { cp.n } else { input.len() };
-    if n == 0 {
-        return Ok(Ok(SortRun {
-            output: Vec::new(),
-            profile: KernelProfile::new(),
-            simulated_seconds: 0.0,
-            kernels: Vec::new(),
-            n: 0,
-        }));
+    observe: Observe<'a, Tr, Ck>,
+}
+
+impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
+    /// Run block `b` of `kernel` into `dst`.
+    fn run<K: SortKey, Fi: FaultInjector>(
+        &self,
+        kernel: Kernel<'_, K>,
+        b: usize,
+        dst: &mut [K],
+        (tracer, checker): (Tr, Ck),
+        faults: Fi,
+    ) -> (KernelProfile, Tr, Ck, Fi) {
+        let (banks, u, e) = (self.cfg.device.bank_model(), self.cfg.params.u, self.cfg.params.e);
+        let (strategy, count) = (self.algo.strategy(), self.cfg.count_accesses);
+        match kernel {
+            Kernel::BlockSort { src } => {
+                let tile = u * e;
+                let s = &src[b * tile..(b + 1) * tile];
+                blocksort_block_faulty(
+                    banks,
+                    u,
+                    e,
+                    strategy,
+                    s,
+                    dst,
+                    b * tile,
+                    count,
+                    tracer,
+                    checker,
+                    faults,
+                )
+            }
+            Kernel::MergePass { src, jobs } => merge_pass_block_faulty(
+                banks, u, e, strategy, src, jobs[b], dst, count, tracer, checker, faults,
+            ),
+        }
     }
-    let track = !ckpt.policy.is_noop();
 
-    let mut kernels: Vec<KernelReport> = Vec::new();
-    let (
-        n_pad,
-        mut src,
-        mut dst,
-        input_checksum,
-        padded_checksum,
-        mut width,
-        mut pass,
-        mut seconds,
-    );
-    if let Some(cp) = resume {
-        n_pad = cp.n_pad;
-        src = cp.state_keys::<K>();
-        dst = vec![K::default(); n_pad];
-        input_checksum = cp.unpadded_input_checksum::<K>();
-        padded_checksum = cp.input_checksum;
-        width = cp.width;
-        pass = cp.completed_passes;
-        seconds = cp.seconds_so_far;
-    } else {
-        input_checksum = multiset_checksum(input);
-        let runs = n.div_ceil(tile).next_power_of_two();
-        n_pad = runs * tile;
-        src = input.to_vec();
-        src.resize(n_pad, K::MAX_SENTINEL);
-        padded_checksum = if track { multiset_checksum(&src) } else { 0 };
-        dst = vec![K::default(); n_pad];
-        width = tile;
-        pass = 0;
-        seconds = 0.0;
+    /// Execute block `b` of launch `idx` once, as execution `attempt`,
+    /// and verify what it wrote to `dst`.
+    ///
+    /// This is the driver's one selection: a block whose plan arms no
+    /// site runs with [`NoFaults`], the zero-cost fault-free kernel;
+    /// every other block runs with its
+    /// [`BlockFaults`](cfmerge_gpu_sim::fault::BlockFaults) injector.
+    fn attempt<K: SortKey>(
+        &self,
+        kernel: Kernel<'_, K>,
+        idx: u32,
+        b: usize,
+        attempt: u32,
+        dst: &mut [K],
+    ) -> Attempt<Tr, Ck> {
+        let faults = self.plan.block_faults(idx, b as u32, attempt, self.fallback);
+        let observers = (self.observe)();
+        let (profile, tracer, checker, spike_cycles, injections) = if faults.is_armed() {
+            let (p, tr, ck, faults) = self.run(kernel, b, dst, observers, faults);
+            (p, tr, ck, faults.spike_cycles(), faults.into_records())
+        } else {
+            let (p, tr, ck, NoFaults) = self.run(kernel, b, dst, observers, NoFaults);
+            (p, tr, ck, 0, Vec::new())
+        };
+        let verdict = verify_sorted_checksum(dst, kernel.expect(b, dst.len()));
+        Attempt { profile, observers: (tracer, checker), spike_cycles, injections, verdict }
+    }
 
-        // ---- Block sort (launch 0) ----
-        let mut execs: Vec<BlockExec> = src
-            .par_chunks(tile)
-            .zip(dst.par_chunks_mut(tile))
+    /// Execute-verify loop for block `b`: up to `max_retries`
+    /// re-executions until its output verifies.
+    fn recover_block<K: SortKey>(
+        &self,
+        kernel: Kernel<'_, K>,
+        (idx, name): (u32, &str),
+        b: usize,
+        dst: &mut [K],
+    ) -> BlockExec<Tr, Ck> {
+        let mut out = BlockExec::new();
+        for attempt in 0..=self.rcfg.max_retries {
+            let a = self.attempt(kernel, idx, b, attempt, dst);
+            out.executions = attempt + 1;
+            out.spike_cycles += a.spike_cycles;
+            out.injections.extend(a.injections);
+            match a.verdict {
+                Ok(()) => {
+                    out.profile = a.profile;
+                    out.observers = Some(a.observers);
+                    out.failure = None;
+                    return out;
+                }
+                Err(failure) => {
+                    out.detections.push(DetectionRecord {
+                        kernel: name.to_string(),
+                        block: b,
+                        attempt,
+                        failure,
+                    });
+                    out.retry_profile.merge(&a.profile);
+                    out.failure = Some(failure);
+                }
+            }
+        }
+        out
+    }
+
+    /// Launch `kernel` as launch `idx`: every block runs its
+    /// execute-verify-retry loop, stragglers get a hedged duplicate, and
+    /// the launch is priced on top of `base_profile`.
+    fn launch<K: SortKey>(
+        &self,
+        kernel: Kernel<'_, K>,
+        (idx, name): (u32, &str),
+        dst: &mut [K],
+        base_profile: KernelProfile,
+        report: &mut RecoveryReport,
+    ) -> Result<Launched<Tr, Ck>, SortError> {
+        let tile = self.cfg.params.tile();
+        let mut execs: Vec<BlockExec<Tr, Ck>> = dst
+            .par_chunks_mut(tile)
             .enumerate()
-            .map(|(t, (s, d))| {
-                let expect = multiset_checksum(s);
-                recover_block(0, "blocksort", t, plan, fallback, rcfg.max_retries, |inj| {
-                    let (profile, NullTracer, NoCheck, inj) = blocksort_block_faulty(
-                        banks,
-                        u,
-                        e,
-                        strategy,
-                        s,
-                        d,
-                        t * tile,
-                        cfg.count_accesses,
-                        NullTracer,
-                        NoCheck,
-                        inj,
-                    );
-                    (profile, inj, verify_sorted_checksum(d, expect))
-                })
-            })
+            .map(|(b, chunk)| self.recover_block(kernel, (idx, name), b, chunk))
             .collect();
-        // ---- Straggler hedging over the block-sort launch ----
         let latencies: Vec<u64> = execs.iter().map(|ex| ex.spike_cycles).collect();
-        for i in rcfg.hedge.stragglers(&latencies) {
-            if execs[i].failure.is_some() {
+        for b in self.rcfg.hedge.stragglers(&latencies) {
+            if execs[b].failure.is_some() {
                 continue; // about to trigger fallback; duplicating it is pointless
             }
-            let s = &src[i * tile..(i + 1) * tile];
             let mut scratch = vec![K::default(); tile];
-            let expect = multiset_checksum(s);
-            let inj = plan.block_faults(0, i as u32, execs[i].executions, fallback);
-            let (profile, NullTracer, NoCheck, inj) = blocksort_block_faulty(
-                banks,
-                u,
-                e,
-                strategy,
-                s,
-                &mut scratch,
-                i * tile,
-                cfg.count_accesses,
-                NullTracer,
-                NoCheck,
-                inj,
-            );
-            let verdict = verify_sorted_checksum(&scratch, expect);
-            apply_hedge(&mut execs[i], profile, inj, verdict);
+            let hedge = self.attempt(kernel, idx, b, execs[b].executions, &mut scratch);
+            execs[b].apply_hedge(hedge);
         }
-        let (report, extra, failed) =
-            settle_kernel(cfg, rcfg, "blocksort", runs as u64, KernelProfile::new(), execs, stats)?;
-        seconds += report.time.seconds + extra;
-        kernels.push(report);
-        if let Some(f) = failed {
-            return Ok(Err(f));
-        }
-        std::mem::swap(&mut src, &mut dst);
-
-        if track && (ckpt.policy.every_pass || ckpt.policy.kill_after_pass == Some(0)) {
-            let cp = SortCheckpoint::capture(
-                algo.label(),
-                (e, u),
-                n,
-                tile,
-                0,
-                seconds,
-                stats.counters,
-                padded_checksum,
-                &src,
-            );
-            if ckpt.policy.kill_after_pass == Some(0) {
-                return Err(SortError::Interrupted { after_pass: 0, checkpoint: Box::new(cp) });
-            }
-            ckpt.taken.push(cp);
-        }
+        self.settle(name, base_profile, execs, report)
     }
 
-    // ---- Merge passes (launches 1..) ----
-    while width < n_pad {
-        let pair = 2 * width;
-        let kernel_idx = 1 + pass as u32;
-        let name = format!("merge-pass-{pass}");
-        let mut jobs: Vec<MergeChunkJob> = Vec::with_capacity(n_pad / tile);
-        let mut search_cost = KernelProfile::new();
-        for pair_lo in (0..n_pad).step_by(pair) {
-            let a = &src[pair_lo..pair_lo + width];
-            let b = &src[pair_lo + width..pair_lo + pair];
-            for c in partition_merge(a, b, tile) {
-                jobs.push(MergeChunkJob {
-                    a_begin: pair_lo + c.a_begin,
-                    a_end: pair_lo + c.a_end,
-                    b_begin: pair_lo + width + c.b_begin,
-                    b_end: pair_lo + width + c.b_end,
-                });
+    /// Fold one launch's per-block outcomes into the report, price the
+    /// launch (main profile as one launch; retries as an extra launch;
+    /// hedges as an auxiliary launch; spikes at the device clock; backoff
+    /// as configured), and surface the first unrecovered block if any.
+    fn settle(
+        &self,
+        name: &str,
+        base_profile: KernelProfile,
+        execs: Vec<BlockExec<Tr, Ck>>,
+        report: &mut RecoveryReport,
+    ) -> Result<Launched<Tr, Ck>, SortError> {
+        let cfg = self.cfg;
+        let blocks = execs.len() as u64;
+        let mut profile = base_profile;
+        let mut retry_profile = KernelProfile::new();
+        let mut retried_execs = 0u64;
+        let mut spike_cycles = 0u64;
+        let mut backoff = 0.0f64;
+        let mut failure: Option<BlockFailure> = None;
+        let mut hedge_profile = KernelProfile::new();
+        let mut hedged_execs = 0u64;
+        let mut observers = Vec::with_capacity(execs.len());
+        for (block, mut ex) in execs.into_iter().enumerate() {
+            profile.merge(&ex.profile);
+            observers.extend(ex.observers);
+            retry_profile.merge(&ex.retry_profile);
+            report.counters.faults_injected += ex.injections.len() as u64;
+            report.counters.faults_detected += ex.detections.len() as u64;
+            report.injections.append(&mut ex.injections);
+            report.detections.append(&mut ex.detections);
+            hedge_profile.merge(&ex.hedge_profile);
+            hedged_execs += u64::from(ex.hedges);
+            report.counters.hedges_launched += u64::from(ex.hedges);
+            report.counters.hedges_won += u64::from(ex.hedge_wins);
+            report.hedges.launched += u64::from(ex.hedges);
+            report.hedges.won += u64::from(ex.hedge_wins);
+            report.hedges.cycles_saved += ex.hedge_cycles_saved;
+            if ex.executions > 1 {
+                let retries = u64::from(ex.executions - 1);
+                report.counters.blocks_retried += 1;
+                report.counters.retries += retries;
+                retried_execs += retries;
+                // Σ_{r=1..retries} backoff · 2^(r−1) = backoff · (2^retries − 1).
+                backoff += self.rcfg.retry_backoff_s * (2f64.powi(retries as i32) - 1.0);
             }
-            if cfg.count_accesses {
-                let blocks_in_pair = (pair / tile) as u64;
-                let steps = u64::from(merge_path_steps(pair / 2, width, width));
-                let s = search_cost.phase_mut(PhaseClass::Search);
-                s.global_ld_requests += blocks_in_pair * steps * 2;
-                s.global_ld_sectors += blocks_in_pair * steps * 2;
-                s.alu_ops += blocks_in_pair * steps * 6;
+            spike_cycles += ex.spike_cycles;
+            if failure.is_none() {
+                if let Some(f) = ex.failure {
+                    failure = Some(BlockFailure {
+                        kernel: name.to_string(),
+                        block,
+                        attempts: ex.executions,
+                        failure: f,
+                    });
+                }
             }
         }
-        let mut execs: Vec<BlockExec> = jobs
-            .par_iter()
-            .zip(dst.par_chunks_mut(tile))
-            .enumerate()
-            .map(|(bi, (job, chunk))| {
-                // Checksum additivity: the block's expected checksum is
-                // the sum of its two input ranges' checksums.
-                let expect = multiset_checksum(&src[job.a_begin..job.a_end])
-                    .wrapping_add(multiset_checksum(&src[job.b_begin..job.b_end]));
-                recover_block(kernel_idx, &name, bi, plan, fallback, rcfg.max_retries, |inj| {
-                    let (profile, NullTracer, NoCheck, inj) = merge_pass_block_faulty(
-                        banks,
-                        u,
-                        e,
-                        strategy,
-                        &src,
-                        *job,
-                        chunk,
-                        cfg.count_accesses,
-                        NullTracer,
-                        NoCheck,
-                        inj,
-                    );
-                    (profile, inj, verify_sorted_checksum(chunk, expect))
-                })
-            })
-            .collect();
-        // ---- Straggler hedging over this merge launch ----
-        let latencies: Vec<u64> = execs.iter().map(|ex| ex.spike_cycles).collect();
-        for bi in rcfg.hedge.stragglers(&latencies) {
-            if execs[bi].failure.is_some() {
-                continue;
-            }
-            let job = jobs[bi];
-            let mut scratch = vec![K::default(); tile];
-            let expect = multiset_checksum(&src[job.a_begin..job.a_end])
-                .wrapping_add(multiset_checksum(&src[job.b_begin..job.b_end]));
-            let inj = plan.block_faults(kernel_idx, bi as u32, execs[bi].executions, fallback);
-            let (profile, NullTracer, NoCheck, inj) = merge_pass_block_faulty(
-                banks,
-                u,
-                e,
-                strategy,
-                &src,
-                job,
-                &mut scratch,
-                cfg.count_accesses,
-                NullTracer,
-                NoCheck,
-                inj,
-            );
-            let verdict = verify_sorted_checksum(&scratch, expect);
-            apply_hedge(&mut execs[bi], profile, inj, verdict);
+        let unlaunchable = |why| SortError::Unlaunchable { device: cfg.device.name.clone(), why };
+        let time = cfg
+            .timing
+            .kernel_time(&cfg.device, &profile.total(), &cfg.launch(blocks))
+            .map_err(unlaunchable)?;
+        let mut extra = 0.0f64;
+        if retried_execs > 0 {
+            let rt = cfg
+                .timing
+                .kernel_time(&cfg.device, &retry_profile.total(), &cfg.launch(retried_execs))
+                .map_err(unlaunchable)?;
+            extra += rt.seconds;
+            report.retry_seconds += rt.seconds;
         }
-        let blocks = jobs.len() as u64;
-        let (report, extra, failed) =
-            settle_kernel(cfg, rcfg, &name, blocks, search_cost, execs, stats)?;
-        seconds += report.time.seconds + extra;
-        kernels.push(report);
-        if let Some(f) = failed {
-            return Ok(Err(f));
+        if hedged_execs > 0 {
+            // Hedged duplicates are enqueued device-side while the primary
+            // launch drains — priced in full minus the host launch overhead.
+            let ht = cfg
+                .timing
+                .auxiliary_launch_time(
+                    &cfg.device,
+                    &hedge_profile.total(),
+                    &cfg.launch(hedged_execs),
+                )
+                .map_err(unlaunchable)?;
+            extra += ht.seconds;
+            report.hedges.hedge_seconds += ht.seconds;
         }
-        std::mem::swap(&mut src, &mut dst);
-        width = pair;
-        pass += 1;
-
-        if track && (ckpt.policy.every_pass || ckpt.policy.kill_after_pass == Some(pass)) {
-            let cp = SortCheckpoint::capture(
-                algo.label(),
-                (e, u),
-                n,
-                width,
-                pass,
-                seconds,
-                stats.counters,
-                padded_checksum,
-                &src,
-            );
-            if ckpt.policy.kill_after_pass == Some(pass) {
-                return Err(SortError::Interrupted { after_pass: pass, checkpoint: Box::new(cp) });
-            }
-            ckpt.taken.push(cp);
-        }
-    }
-
-    src.truncate(n);
-    // Defense in depth: the whole output against the whole input. Block
-    // verification should make this unreachable; if it ever fires, the
-    // run is treated exactly like a failed block (fallback, then typed
-    // error) — never returned as a success.
-    if let Err(failure) = verify_sorted_checksum(&src, input_checksum) {
-        stats.counters.faults_detected += 1;
-        stats.detections.push(DetectionRecord {
-            kernel: "output-verify".into(),
-            block: 0,
-            attempt: 0,
+        let spike_s = spike_cycles as f64 / cfg.device.clock_hz;
+        extra += spike_s;
+        report.spike_seconds += spike_s;
+        extra += backoff;
+        report.backoff_seconds += backoff;
+        Ok(Launched {
+            report: KernelReport { name: name.to_string(), blocks, profile, time },
+            extra_seconds: extra,
+            observers,
             failure,
-        });
-        return Ok(Err(BlockFailure {
-            kernel: "output-verify".into(),
-            block: 0,
-            attempts: 1,
-            failure,
-        }));
+        })
     }
 
-    let mut profile = KernelProfile::new();
-    for k in &kernels {
-        profile.merge(&k.profile);
+    /// One pipeline execution: the block sort (launch 0), then one merge
+    /// pass per further launch of [`pipeline_shape`]. `Ok(Err(_))` is a
+    /// block that stayed failed after retries (the fallback trigger);
+    /// outer `Err` is a configuration-level error (or a simulated kill,
+    /// when `ckpt` asks for one). With `resume`, the launches the
+    /// checkpoint completed are skipped and execution continues from its
+    /// verified state (the caller has already validated it).
+    #[allow(clippy::type_complexity)]
+    fn run_pipeline<K: SortKey>(
+        &self,
+        input: &[K],
+        report: &mut RecoveryReport,
+        resume: Option<&SortCheckpoint>,
+        ckpt: &mut CkptCtl,
+    ) -> Result<Result<(SortRun<K>, Observers<Tr, Ck>), BlockFailure>, SortError> {
+        let (e, u) = (self.cfg.params.e, self.cfg.params.u);
+        let tile = u * e;
+        let n = resume.map_or(input.len(), |cp| cp.n);
+        let shape = pipeline_shape(n, &self.cfg.params);
+        let Some(&runs) = shape.first() else {
+            let empty = SortRun {
+                output: Vec::new(),
+                profile: KernelProfile::new(),
+                simulated_seconds: 0.0,
+                kernels: Vec::new(),
+                n: 0,
+            };
+            return Ok(Ok((empty, Vec::new())));
+        };
+        let n_pad = runs as usize * tile;
+        let track = !ckpt.policy.is_noop();
+
+        let (mut src, input_checksum, padded_checksum, first, mut seconds);
+        if let Some(cp) = resume {
+            src = cp.state_keys::<K>();
+            input_checksum = cp.unpadded_input_checksum::<K>();
+            padded_checksum = cp.input_checksum;
+            first = cp.completed_passes + 1;
+            seconds = cp.seconds_so_far;
+        } else {
+            input_checksum = multiset_checksum(input);
+            src = input.to_vec();
+            src.resize(n_pad, K::MAX_SENTINEL);
+            padded_checksum = if track { multiset_checksum(&src) } else { 0 };
+            first = 0;
+            seconds = 0.0;
+        }
+        let mut dst = vec![K::default(); n_pad];
+        let mut kernels: Vec<KernelReport> = Vec::with_capacity(shape.len() - first);
+        let mut observers: Observers<Tr, Ck> = Vec::with_capacity(shape.len() - first);
+
+        for launch in first..shape.len() {
+            let (jobs, base_profile, name);
+            let kernel = if launch == 0 {
+                (base_profile, name) = (KernelProfile::new(), "blocksort".to_string());
+                Kernel::BlockSort { src: &src }
+            } else {
+                let width = tile << (launch - 1);
+                (jobs, base_profile) = partition_pass(&src, width, tile, self.cfg.count_accesses);
+                name = format!("merge-pass-{}", launch - 1);
+                Kernel::MergePass { src: &src, jobs: &jobs }
+            };
+            let done =
+                self.launch(kernel, (launch as u32, &name), &mut dst, base_profile, report)?;
+            seconds += done.report.time.seconds + done.extra_seconds;
+            kernels.push(done.report);
+            observers.push(done.observers);
+            if let Some(f) = done.failure {
+                return Ok(Err(f));
+            }
+            std::mem::swap(&mut src, &mut dst);
+
+            // `launch` merge passes are now complete (the block sort
+            // counts as pass 0): sorted runs of `tile << launch`.
+            if track && (ckpt.policy.every_pass || ckpt.policy.kill_after_pass == Some(launch)) {
+                let cp = SortCheckpoint::capture(
+                    self.algo.label(),
+                    (e, u),
+                    n,
+                    tile << launch,
+                    launch,
+                    seconds,
+                    report.counters,
+                    padded_checksum,
+                    &src,
+                );
+                if ckpt.policy.kill_after_pass == Some(launch) {
+                    return Err(SortError::Interrupted {
+                        after_pass: launch,
+                        checkpoint: Box::new(cp),
+                    });
+                }
+                ckpt.taken.push(cp);
+            }
+        }
+
+        src.truncate(n);
+        // Defense in depth: the whole output against the whole input. Block
+        // verification should make this unreachable; if it ever fires, the
+        // run is treated exactly like a failed block (fallback, then typed
+        // error) — never returned as a success.
+        if let Err(failure) = verify_sorted_checksum(&src, input_checksum) {
+            report.counters.faults_detected += 1;
+            report.detections.push(DetectionRecord {
+                kernel: "output-verify".into(),
+                block: 0,
+                attempt: 0,
+                failure,
+            });
+            return Ok(Err(BlockFailure {
+                kernel: "output-verify".into(),
+                block: 0,
+                attempts: 1,
+                failure,
+            }));
+        }
+
+        let mut profile = KernelProfile::new();
+        for k in &kernels {
+            profile.merge(&k.profile);
+        }
+        Ok(Ok((
+            SortRun { output: src, profile, simulated_seconds: seconds, kernels, n },
+            observers,
+        )))
     }
-    Ok(Ok(SortRun { output: src, profile, simulated_seconds: seconds, kernels, n }))
+}
+
+/// The plain entry points' run of the driver: no faults, no retries, no
+/// fallback, no hedging. A block whose output fails verification comes
+/// back as [`SortError::UnrecoverableFault`]; a wrong sort is never
+/// returned.
+pub(crate) fn simulate_sort_observed<K: SortKey, Tr: Tracer + Send, Ck: MemCheck + Send>(
+    input: &[K],
+    algo: SortAlgorithm,
+    config: &SortConfig,
+    observe: Observe<'_, Tr, Ck>,
+) -> Result<(SortRun<K>, Observers<Tr, Ck>), SortError> {
+    let rcfg =
+        RobustConfig { max_retries: 0, allow_fallback: false, ..RobustConfig::new(config.clone()) };
+    let (robust, observers) =
+        drive(input, algo, &rcfg, &FaultPlan::none(), &mut CkptCtl::noop(), observe)?;
+    Ok((robust.run, observers))
 }
 
 /// Sort under fault injection with verified, block-granular recovery.
@@ -808,14 +862,14 @@ fn run_pipeline<K: SortKey>(
 ///
 /// Pass [`FaultPlan::none()`] for a production (no-injection) run: the
 /// result is bit-identical to [`crate::sort::pipeline::simulate_sort`],
-/// with verification as pure insurance.
+/// which runs the same driver.
 pub fn simulate_sort_robust<K: SortKey>(
     input: &[K],
     algo: SortAlgorithm,
     config: &RobustConfig,
     plan: &FaultPlan,
 ) -> Result<RobustSortRun<K>, SortError> {
-    simulate_sort_robust_inner(input, algo, config, plan, &mut CkptCtl::noop())
+    Ok(drive(input, algo, config, plan, &mut CkptCtl::noop(), &|| (NullTracer, NoCheck))?.0)
 }
 
 /// [`simulate_sort_robust`] with checkpoint capture: returns the run
@@ -837,19 +891,22 @@ pub fn simulate_sort_robust_checkpointed<K: SortKey>(
     policy: CheckpointPolicy,
 ) -> Result<(RobustSortRun<K>, Vec<SortCheckpoint>), SortError> {
     let mut ctl = CkptCtl { policy, taken: Vec::new() };
-    let run = simulate_sort_robust_inner(input, algo, config, plan, &mut ctl)?;
+    let (run, _) = drive(input, algo, config, plan, &mut ctl, &|| (NullTracer, NoCheck))?;
     Ok((run, ctl.taken))
 }
 
-fn simulate_sort_robust_inner<K: SortKey>(
+/// The driver proper: validate (substituting a launchable configuration
+/// if fallback allows), run the requested pipeline, and fall back to the
+/// Thrust pipeline on a block that stays failed.
+fn drive<K: SortKey, Tr: Tracer + Send, Ck: MemCheck + Send>(
     input: &[K],
     algo: SortAlgorithm,
     config: &RobustConfig,
     plan: &FaultPlan,
     ckpt: &mut CkptCtl,
-) -> Result<RobustSortRun<K>, SortError> {
-    let mut stats = RunStats::default();
-    let mut degradations: Vec<Degradation> = Vec::new();
+    observe: Observe<'_, Tr, Ck>,
+) -> Result<(RobustSortRun<K>, Observers<Tr, Ck>), SortError> {
+    let mut report = RecoveryReport::default();
     let mut cfg = config.base.clone();
     let mut algo_used = algo;
 
@@ -857,16 +914,14 @@ fn simulate_sort_robust_inner<K: SortKey>(
         Ok(()) => {}
         Err(SortError::Unlaunchable { device, why }) if config.allow_fallback => {
             let sub = SortParams::known_good_default();
-            degradations.push(Degradation::ParamsSubstituted {
+            report.degradations.push(Degradation::ParamsSubstituted {
                 from: (cfg.params.e, cfg.params.u),
                 to: (sub.e, sub.u),
             });
-            degradations.push(Degradation::Fallback {
-                from: algo_used,
-                to: SortAlgorithm::ThrustMergesort,
-                reason: format!("requested configuration cannot launch on {device}: {why}"),
-            });
-            stats.counters.fallbacks += 1;
+            report.fall_back(
+                algo_used,
+                format!("requested configuration cannot launch on {device}: {why}"),
+            );
             cfg.params = sub;
             algo_used = SortAlgorithm::ThrustMergesort;
             validate_sort_config(&cfg)?;
@@ -874,44 +929,25 @@ fn simulate_sort_robust_inner<K: SortKey>(
         Err(e) => return Err(e),
     }
 
-    let first = run_pipeline(input, algo_used, &cfg, config, plan, false, &mut stats, None, ckpt)?;
-    let run = match first {
-        Ok(run) => run,
-        Err(block_failure) if config.allow_fallback => {
-            degradations.push(Degradation::Fallback {
-                from: algo_used,
-                to: SortAlgorithm::ThrustMergesort,
-                reason: format!(
+    let mut exec =
+        Exec { cfg: &cfg, rcfg: config, plan, algo: algo_used, fallback: false, observe };
+    let (run, observers) = match exec.run_pipeline(input, &mut report, None, ckpt)? {
+        Ok(done) => done,
+        Err(f) if config.allow_fallback => {
+            report.fall_back(
+                exec.algo,
+                format!(
                     "{} block {} failed verification after {} attempts",
-                    block_failure.kernel, block_failure.block, block_failure.attempts
+                    f.kernel, f.block, f.attempts
                 ),
-            });
-            stats.counters.fallbacks += 1;
-            algo_used = SortAlgorithm::ThrustMergesort;
+            );
             ckpt.taken.clear(); // primary checkpoints are void once abandoned
-            match run_pipeline(input, algo_used, &cfg, config, plan, true, &mut stats, None, ckpt)?
-            {
-                Ok(run) => run,
-                Err(f) => return Err(f.into_error()),
-            }
+            (exec.algo, exec.fallback) = (SortAlgorithm::ThrustMergesort, true);
+            exec.run_pipeline(input, &mut report, None, ckpt)?.map_err(BlockFailure::into_error)?
         }
-        Err(block_failure) => return Err(block_failure.into_error()),
+        Err(f) => return Err(f.into_error()),
     };
-
-    Ok(RobustSortRun {
-        run,
-        algorithm: algo_used,
-        report: RecoveryReport {
-            counters: stats.counters,
-            injections: stats.injections,
-            detections: stats.detections,
-            degradations,
-            backoff_seconds: stats.backoff_seconds,
-            retry_seconds: stats.retry_seconds,
-            spike_seconds: stats.spike_seconds,
-            hedges: stats.hedges,
-        },
-    })
+    Ok((RobustSortRun { run, algorithm: exec.algo, report }, observers))
 }
 
 /// Resume a sort from a [`SortCheckpoint`], skipping the block sort and
@@ -919,8 +955,10 @@ fn simulate_sort_robust_inner<K: SortKey>(
 ///
 /// The checkpoint is validated first — version, structural shape, every
 /// run sorted, every block checksum matching
-/// ([`SortCheckpoint::validate_as`]) — so work is only skipped when the
-/// saved state is provably the verified state the original run produced.
+/// ([`SortCheckpoint::validate_as`]), and its padded size and run width
+/// matching [`pipeline_shape`] at the configured `(E, u)` — so work is
+/// only skipped when the saved state is provably the verified state the
+/// original run produced.
 /// The resumed run's `simulated_seconds` includes the checkpoint's
 /// `seconds_so_far`, and with the same fault plan the final output is
 /// byte-identical to the uninterrupted run; on a fault-free plan the
@@ -948,96 +986,67 @@ pub fn resume_sort_robust<K: SortKey>(
     plan: &FaultPlan,
 ) -> Result<RobustSortRun<K>, SortError> {
     checkpoint.validate_as::<K>()?;
+    let invalid = |reason: String| Err(SortError::CheckpointInvalid { reason });
     let algo = if checkpoint.algorithm == SortAlgorithm::CfMerge.label() {
         SortAlgorithm::CfMerge
     } else if checkpoint.algorithm == SortAlgorithm::ThrustMergesort.label() {
         SortAlgorithm::ThrustMergesort
     } else {
-        return Err(SortError::CheckpointInvalid {
-            reason: format!("unknown algorithm {:?}", checkpoint.algorithm),
-        });
+        return invalid(format!("unknown algorithm {:?}", checkpoint.algorithm));
     };
     let cfg = &config.base;
     if (cfg.params.e, cfg.params.u) != (checkpoint.e, checkpoint.u) {
-        return Err(SortError::CheckpointInvalid {
-            reason: format!(
-                "checkpoint captured at (E={}, u={}) cannot resume under (E={}, u={})",
-                checkpoint.e, checkpoint.u, cfg.params.e, cfg.params.u
-            ),
-        });
+        return invalid(format!(
+            "checkpoint captured at (E={}, u={}) cannot resume under (E={}, u={})",
+            checkpoint.e, checkpoint.u, cfg.params.e, cfg.params.u
+        ));
+    }
+    let shape = pipeline_shape(checkpoint.n, &cfg.params);
+    let tile = cfg.params.tile();
+    if checkpoint.n_pad != shape[0] as usize * tile
+        || checkpoint.completed_passes >= shape.len()
+        || checkpoint.width != tile << checkpoint.completed_passes
+    {
+        return invalid(format!(
+            "n_pad {} / width {} after {} passes does not match the pipeline for n={}",
+            checkpoint.n_pad, checkpoint.width, checkpoint.completed_passes, checkpoint.n
+        ));
     }
     validate_sort_config(cfg)?;
 
-    let mut stats = RunStats::default();
-    let mut degradations: Vec<Degradation> = Vec::new();
-    let mut algo_used = algo;
-    let first = run_pipeline::<K>(
-        &[],
-        algo,
-        cfg,
-        config,
-        plan,
-        false,
-        &mut stats,
-        Some(checkpoint),
-        &mut CkptCtl::noop(),
-    )?;
-    let run = match first {
-        Ok(run) => run,
-        Err(block_failure) if config.allow_fallback => {
-            degradations.push(Degradation::Fallback {
-                from: algo_used,
-                to: SortAlgorithm::ThrustMergesort,
-                reason: format!(
+    let mut report = RecoveryReport::default();
+    let observe: Observe<'_, NullTracer, NoCheck> = &|| (NullTracer, NoCheck);
+    let mut exec = Exec { cfg, rcfg: config, plan, algo, fallback: false, observe };
+    let resumed =
+        exec.run_pipeline::<K>(&[], &mut report, Some(checkpoint), &mut CkptCtl::noop())?;
+    let run = match resumed {
+        Ok((run, _)) => run,
+        Err(f) if config.allow_fallback => {
+            report.fall_back(
+                exec.algo,
+                format!(
                     "resumed {} block {} failed verification after {} attempts",
-                    block_failure.kernel, block_failure.block, block_failure.attempts
+                    f.kernel, f.block, f.attempts
                 ),
-            });
-            stats.counters.fallbacks += 1;
-            algo_used = SortAlgorithm::ThrustMergesort;
+            );
+            (exec.algo, exec.fallback) = (SortAlgorithm::ThrustMergesort, true);
             // Restart from the checkpoint state as input: a permutation
             // of the padded input, so its sort is the same output (the
             // sentinels sort to the tail and are truncated off).
             let keys = checkpoint.state_keys::<K>();
-            match run_pipeline(
-                &keys,
-                algo_used,
-                cfg,
-                config,
-                plan,
-                true,
-                &mut stats,
-                None,
-                &mut CkptCtl::noop(),
-            )? {
-                Ok(mut run) => {
-                    run.output.truncate(checkpoint.n);
-                    run.n = checkpoint.n;
-                    run.simulated_seconds += checkpoint.seconds_so_far;
-                    run
-                }
-                Err(f) => return Err(f.into_error()),
-            }
+            let (mut run, _) = exec
+                .run_pipeline(&keys, &mut report, None, &mut CkptCtl::noop())?
+                .map_err(BlockFailure::into_error)?;
+            run.output.truncate(checkpoint.n);
+            run.n = checkpoint.n;
+            run.simulated_seconds += checkpoint.seconds_so_far;
+            run
         }
-        Err(block_failure) => return Err(block_failure.into_error()),
+        Err(f) => return Err(f.into_error()),
     };
 
-    let mut counters = checkpoint.counters;
-    counters.merge(&stats.counters);
-    Ok(RobustSortRun {
-        run,
-        algorithm: algo_used,
-        report: RecoveryReport {
-            counters,
-            injections: stats.injections,
-            detections: stats.detections,
-            degradations,
-            backoff_seconds: stats.backoff_seconds,
-            retry_seconds: stats.retry_seconds,
-            spike_seconds: stats.spike_seconds,
-            hedges: stats.hedges,
-        },
-    })
+    report.counters.merge(&checkpoint.counters);
+    Ok(RobustSortRun { run, algorithm: exec.algo, report })
 }
 
 #[cfg(test)]
@@ -1386,6 +1395,13 @@ mod tests {
         bad.state[7] ^= 0x10;
         assert!(matches!(
             resume_sort_robust::<u32>(&bad, &rcfg, &FaultPlan::none()),
+            Err(SortError::CheckpointInvalid { .. })
+        ));
+        // A pass count that disagrees with the run width.
+        let mut skewed = cp.clone();
+        skewed.completed_passes += 1;
+        assert!(matches!(
+            resume_sort_robust::<u32>(&skewed, &rcfg, &FaultPlan::none()),
             Err(SortError::CheckpointInvalid { .. })
         ));
         // Wrong launch config for the checkpoint.

@@ -14,8 +14,19 @@
 //! The pipelines differ *only* in how a thread moves its `(Aᵢ, Bᵢ)` out
 //! of shared memory (see [`kernels`]): the baseline's data-dependent
 //! serial merge versus CF-Merge's dual subsequence gather + register
-//! network. [`pipeline::simulate_sort`] drives either, returning the
-//! sorted output, exact per-phase profile, and modeled runtime.
+//! network.
+//!
+//! One driver runs both: [`crate::recovery`] pads the input, fans out
+//! each launch's blocks, partitions every merge pass by merge path,
+//! verifies every block's output, and prices each launch. Every entry
+//! point is a thin call into it. [`simulate_sort`], [`try_simulate_sort`],
+//! [`simulate_sort_traced`] and [`simulate_sort_checked`] are generic
+//! over the [`SortKey`] type and return the sorted output, exact
+//! per-phase profile, and modeled runtime; the robust entry points in
+//! [`crate::recovery`] add fault injection, retries, fallback and
+//! checkpoints. Each kernel has two entry points: the plain
+//! [`blocksort::blocksort_block`] / [`merge_pass::merge_pass_block`] and
+//! the fully generic `*_faulty` one the driver calls.
 
 pub mod blocksort;
 pub mod error;
@@ -31,7 +42,6 @@ pub use key::{simulate_sort_f32, SortKey};
 pub use merge_api::{simulate_merge, try_simulate_merge, MergeRun};
 pub use pairs::{sort_pairs_stable, PairSortRun};
 pub use pipeline::{
-    simulate_sort, simulate_sort_checked, simulate_sort_keys, simulate_sort_keys_checked,
-    simulate_sort_keys_traced, simulate_sort_traced, try_simulate_sort, try_simulate_sort_keys,
-    CheckedSortRun, KernelFinding, KernelReport, SortAlgorithm, SortConfig, SortRun, TracedSortRun,
+    simulate_sort, simulate_sort_checked, simulate_sort_traced, try_simulate_sort, CheckedSortRun,
+    KernelFinding, KernelReport, SortAlgorithm, SortConfig, SortRun, TracedSortRun,
 };

@@ -1,26 +1,28 @@
-//! End-to-end pipeline driver: block sort, then `log₂(n/uE)` merge
-//! passes, with per-launch profiling and modeled timing.
+//! The pipeline entry points and their types: configuration, per-launch
+//! reports, and runs.
 //!
-//! Inputs of any size are padded to a power-of-two number of tiles with
-//! `u32::MAX` sentinels (the paper's sweep sizes `n = 2^i·E` are already
-//! tile-aligned for its `u`; padding keeps the driver total). Blocks are
-//! independent, so each pass fans out with rayon and merges the per-block
-//! profiles.
+//! Every entry point is a thin call into the one pipeline driver in
+//! [`crate::recovery`] with an empty fault plan, no retries, no fallback
+//! and no hedging: a block sort, then `log₂(n/uE)` merge passes, with
+//! per-launch profiling, modeled timing, and every block's output
+//! verified. Inputs of any size are padded to a power-of-two number of
+//! tiles with [`SortKey::MAX_SENTINEL`] (the paper's sweep sizes
+//! `n = 2^i·E` are already tile-aligned for its `u`; padding keeps the
+//! driver total). The traced and checked variants differ only in the
+//! observers the driver hands each block.
 
-use super::blocksort::{blocksort_block_checked, MergeStrategy};
+use super::blocksort::MergeStrategy;
+use super::error::SortError;
 use super::key::SortKey;
-use super::merge_pass::{merge_pass_block_checked, MergeChunkJob};
 use crate::params::SortParams;
-use cfmerge_gpu_sim::check::{Finding, MemCheck, NoCheck, Sanitizer};
+use crate::recovery::simulate_sort_observed;
+use cfmerge_gpu_sim::check::{Finding, NoCheck, Sanitizer};
 use cfmerge_gpu_sim::device::Device;
 use cfmerge_gpu_sim::occupancy::{mergesort_regs_estimate, BlockResources};
-use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
+use cfmerge_gpu_sim::profiler::KernelProfile;
 use cfmerge_gpu_sim::timing::{LaunchConfig, TimeBreakdown, TimingModel};
-use cfmerge_gpu_sim::trace::{BlockTracer, KernelTrace, NullTracer, SortTrace, Tracer};
+use cfmerge_gpu_sim::trace::{BlockTracer, KernelTrace, NullTracer, SortTrace};
 use cfmerge_json::{FromJson, Json, JsonError, ToJson};
-use cfmerge_mergepath::diagonal::merge_path_steps;
-use cfmerge_mergepath::partition::partition_merge;
-use rayon::prelude::*;
 
 /// Which pipeline to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +34,7 @@ pub enum SortAlgorithm {
 }
 
 impl SortAlgorithm {
-    fn strategy(self) -> MergeStrategy {
+    pub(crate) fn strategy(self) -> MergeStrategy {
         match self {
             SortAlgorithm::ThrustMergesort => MergeStrategy::DirectSerial,
             SortAlgorithm::CfMerge => MergeStrategy::Gather,
@@ -168,49 +170,36 @@ pub struct TracedSortRun<K = u32> {
     pub trace: SortTrace,
 }
 
-/// Sort `input` on the simulated GPU with the chosen pipeline.
+/// Sort `input` on the simulated GPU with the chosen pipeline. Any
+/// [`SortKey`] type works (`u64` keys back the stable sort-by-key API in
+/// [`super::pairs`]).
 ///
 /// # Panics
 /// Panics if the configuration is invalid for the device (`u` not a
-/// power-of-two multiple of `w`, `E > w`).
+/// power-of-two multiple of `w`, `E > w`), or if a block's output fails
+/// verification. [`try_simulate_sort`] returns both as a [`SortError`].
 #[must_use]
-pub fn simulate_sort(input: &[u32], algo: SortAlgorithm, config: &SortConfig) -> SortRun {
-    simulate_sort_keys::<u32>(input, algo, config)
-}
-
-/// Generic-key variant of [`simulate_sort`]: sort any [`SortKey`] type
-/// (`u64` keys back the stable sort-by-key API in [`super::pairs`]).
-///
-/// # Panics
-/// Same conditions as [`simulate_sort`].
-#[must_use]
-pub fn simulate_sort_keys<K: SortKey>(
+pub fn simulate_sort<K: SortKey>(
     input: &[K],
     algo: SortAlgorithm,
     config: &SortConfig,
 ) -> SortRun<K> {
-    simulate_sort_impl(input, algo, config, &|| NullTracer, &|| NoCheck).0
+    or_panic(try_simulate_sort(input, algo, config))
 }
 
-/// Non-panicking variant of [`simulate_sort`]: the configuration checks
-/// that `simulate_sort` enforces by panicking come back as a typed
-/// [`SortError`](super::error::SortError) instead.
-pub fn try_simulate_sort(
-    input: &[u32],
-    algo: SortAlgorithm,
-    config: &SortConfig,
-) -> Result<SortRun, super::error::SortError> {
-    try_simulate_sort_keys::<u32>(input, algo, config)
-}
-
-/// Generic-key variant of [`try_simulate_sort`].
-pub fn try_simulate_sort_keys<K: SortKey>(
+/// Non-panicking variant of [`simulate_sort`]: an invalid configuration
+/// or a block that fails verification comes back as a typed
+/// [`SortError`] instead.
+pub fn try_simulate_sort<K: SortKey>(
     input: &[K],
     algo: SortAlgorithm,
     config: &SortConfig,
-) -> Result<SortRun<K>, super::error::SortError> {
-    super::error::validate_sort_config(config)?;
-    Ok(simulate_sort_keys(input, algo, config))
+) -> Result<SortRun<K>, SortError> {
+    Ok(simulate_sort_observed(input, algo, config, &|| (NullTracer, NoCheck))?.0)
+}
+
+fn or_panic<T>(result: Result<T, SortError>) -> T {
+    result.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`simulate_sort`] with full structured tracing: every thread block of
@@ -220,27 +209,15 @@ pub fn try_simulate_sort_keys<K: SortKey>(
 /// # Panics
 /// Same conditions as [`simulate_sort`].
 #[must_use]
-pub fn simulate_sort_traced(
-    input: &[u32],
-    algo: SortAlgorithm,
-    config: &SortConfig,
-) -> TracedSortRun {
-    simulate_sort_keys_traced::<u32>(input, algo, config)
-}
-
-/// Generic-key variant of [`simulate_sort_traced`].
-///
-/// # Panics
-/// Same conditions as [`simulate_sort`].
-#[must_use]
-pub fn simulate_sort_keys_traced<K: SortKey>(
+pub fn simulate_sort_traced<K: SortKey>(
     input: &[K],
     algo: SortAlgorithm,
     config: &SortConfig,
 ) -> TracedSortRun<K> {
     let banks = config.device.bank_model();
-    let (run, observers) =
-        simulate_sort_impl(input, algo, config, &move || BlockTracer::new(banks), &|| NoCheck);
+    let (run, observers) = or_panic(simulate_sort_observed(input, algo, config, &|| {
+        (BlockTracer::new(banks), NoCheck)
+    }));
     let kernels = run
         .kernels
         .iter()
@@ -323,25 +300,13 @@ impl<K> CheckedSortRun<K> {
 /// # Panics
 /// Same conditions as [`simulate_sort`].
 #[must_use]
-pub fn simulate_sort_checked(
-    input: &[u32],
-    algo: SortAlgorithm,
-    config: &SortConfig,
-) -> CheckedSortRun {
-    simulate_sort_keys_checked::<u32>(input, algo, config)
-}
-
-/// Generic-key variant of [`simulate_sort_checked`].
-///
-/// # Panics
-/// Same conditions as [`simulate_sort`].
-#[must_use]
-pub fn simulate_sort_keys_checked<K: SortKey>(
+pub fn simulate_sort_checked<K: SortKey>(
     input: &[K],
     algo: SortAlgorithm,
     config: &SortConfig,
 ) -> CheckedSortRun<K> {
-    let (run, observers) = simulate_sort_impl(input, algo, config, &|| NullTracer, &Sanitizer::new);
+    let (run, observers) =
+        or_panic(simulate_sort_observed(input, algo, config, &|| (NullTracer, Sanitizer::new())));
     let mut findings = Vec::new();
     let mut dropped = 0u64;
     for (kernel, blocks) in run.kernels.iter().zip(observers) {
@@ -355,176 +320,6 @@ pub fn simulate_sort_keys_checked<K: SortKey>(
         }
     }
     CheckedSortRun { run, findings, dropped }
-}
-
-/// Shared driver: runs the pipeline, handing each simulated block a fresh
-/// tracer from `make_tracer` and a fresh checker from `make_checker`, and
-/// returning the per-kernel `(tracer, checker)` sets aligned with
-/// `SortRun::kernels`. Monomorphizes to the untraced, unchecked engine
-/// when `Tr` is [`NullTracer`] and `Ck` is [`NoCheck`].
-fn simulate_sort_impl<K: SortKey, Tr, Ck, F, G>(
-    input: &[K],
-    algo: SortAlgorithm,
-    config: &SortConfig,
-    make_tracer: &F,
-    make_checker: &G,
-) -> (SortRun<K>, Vec<Vec<(Tr, Ck)>>)
-where
-    Tr: Tracer + Send,
-    Ck: MemCheck + Send,
-    F: Fn() -> Tr + Sync,
-    G: Fn() -> Ck + Sync,
-{
-    let w = config.device.warp_width as usize;
-    let (e, u) = (config.params.e, config.params.u);
-    config.params.validate(w);
-    assert!(u.is_power_of_two(), "blocksort pairing requires a power-of-two u (got {u})");
-    if let Err(why) =
-        cfmerge_gpu_sim::occupancy::occupancy(&config.device, &config.launch(1).resources)
-    {
-        panic!("configuration cannot launch on {}: {why}", config.device.name);
-    }
-    let banks = config.device.bank_model();
-    let strategy = algo.strategy();
-    let tile = u * e;
-    let n = input.len();
-    if n == 0 {
-        return (
-            SortRun {
-                output: Vec::new(),
-                profile: KernelProfile::new(),
-                simulated_seconds: 0.0,
-                kernels: Vec::new(),
-                n: 0,
-            },
-            Vec::new(),
-        );
-    }
-
-    // Pad to a power-of-two number of tiles.
-    let runs = n.div_ceil(tile).next_power_of_two();
-    let n_pad = runs * tile;
-    let mut src = input.to_vec();
-    src.resize(n_pad, K::MAX_SENTINEL);
-    let mut dst = vec![K::default(); n_pad];
-
-    let mut kernels: Vec<KernelReport> = Vec::new();
-    let mut kernel_tracers: Vec<Vec<(Tr, Ck)>> = Vec::new();
-
-    // ---- Phase 1: block sort ----
-    {
-        let results: Vec<(KernelProfile, Tr, Ck)> = src
-            .par_chunks(tile)
-            .zip(dst.par_chunks_mut(tile))
-            .enumerate()
-            .map(|(t, (s, d))| {
-                blocksort_block_checked(
-                    banks,
-                    u,
-                    e,
-                    strategy,
-                    s,
-                    d,
-                    t * tile,
-                    config.count_accesses,
-                    make_tracer(),
-                    make_checker(),
-                )
-            })
-            .collect();
-        let mut profile = KernelProfile::new();
-        let mut tracers = Vec::with_capacity(results.len());
-        for (p, t, c) in results {
-            profile.merge(&p);
-            tracers.push((t, c));
-        }
-        let launch = config.launch(runs as u64);
-        let time = config
-            .timing
-            .kernel_time(&config.device, &profile.total(), &launch)
-            .expect("launchability was validated at pipeline entry");
-        kernels.push(KernelReport { name: "blocksort".into(), blocks: runs as u64, profile, time });
-        kernel_tracers.push(tracers);
-        std::mem::swap(&mut src, &mut dst);
-    }
-
-    // ---- Phase 2: merge passes ----
-    let mut width = tile;
-    let mut pass = 0usize;
-    while width < n_pad {
-        let pair = 2 * width;
-        // Build all block jobs for this pass (host-side partitioning —
-        // on the device this is the small "partition kernel", charged
-        // below).
-        let mut jobs: Vec<MergeChunkJob> = Vec::with_capacity(n_pad / tile);
-        let mut search_cost = KernelProfile::new();
-        for pair_lo in (0..n_pad).step_by(pair) {
-            let a = &src[pair_lo..pair_lo + width];
-            let b = &src[pair_lo + width..pair_lo + pair];
-            for c in partition_merge(a, b, tile) {
-                jobs.push(MergeChunkJob {
-                    a_begin: pair_lo + c.a_begin,
-                    a_end: pair_lo + c.a_end,
-                    b_begin: pair_lo + width + c.b_begin,
-                    b_end: pair_lo + width + c.b_end,
-                });
-            }
-            // Partition-kernel accounting: one boundary search per block
-            // in the pair, 2 uncoalesced global loads per iteration.
-            if config.count_accesses {
-                let blocks_in_pair = (pair / tile) as u64;
-                let steps = u64::from(merge_path_steps(pair / 2, width, width));
-                let s = search_cost.phase_mut(PhaseClass::Search);
-                s.global_ld_requests += blocks_in_pair * steps * 2;
-                s.global_ld_sectors += blocks_in_pair * steps * 2;
-                s.alu_ops += blocks_in_pair * steps * 6;
-            }
-        }
-        let results: Vec<(KernelProfile, Tr, Ck)> = jobs
-            .par_iter()
-            .zip(dst.par_chunks_mut(tile))
-            .map(|(job, chunk)| {
-                merge_pass_block_checked(
-                    banks,
-                    u,
-                    e,
-                    strategy,
-                    &src,
-                    *job,
-                    chunk,
-                    config.count_accesses,
-                    make_tracer(),
-                    make_checker(),
-                )
-            })
-            .collect();
-        let mut profile = search_cost;
-        let mut tracers = Vec::with_capacity(results.len());
-        for (p, t, c) in results {
-            profile.merge(&p);
-            tracers.push((t, c));
-        }
-        let blocks = jobs.len() as u64;
-        let launch = config.launch(blocks);
-        let time = config
-            .timing
-            .kernel_time(&config.device, &profile.total(), &launch)
-            .expect("launchability was validated at pipeline entry");
-        kernels.push(KernelReport { name: format!("merge-pass-{pass}"), blocks, profile, time });
-        kernel_tracers.push(tracers);
-        std::mem::swap(&mut src, &mut dst);
-        width = pair;
-        pass += 1;
-    }
-
-    src.truncate(n);
-    let mut profile = KernelProfile::new();
-    let mut seconds = 0.0;
-    for k in &kernels {
-        profile.merge(&k.profile);
-        seconds += k.time.seconds;
-    }
-    (SortRun { output: src, profile, simulated_seconds: seconds, kernels, n }, kernel_tracers)
 }
 
 impl ToJson for KernelReport {
@@ -553,6 +348,7 @@ impl FromJson for KernelReport {
 mod tests {
     use super::*;
     use crate::inputs::InputSpec;
+    use cfmerge_gpu_sim::profiler::PhaseClass;
 
     fn cfg(e: usize, u: usize) -> SortConfig {
         SortConfig::with_params(SortParams::new(e, u))
@@ -664,7 +460,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let run = simulate_sort(&[], SortAlgorithm::CfMerge, &cfg(15, 512));
+        let run = simulate_sort::<u32>(&[], SortAlgorithm::CfMerge, &cfg(15, 512));
         assert!(run.output.is_empty());
         assert_eq!(run.simulated_seconds, 0.0);
     }

@@ -483,6 +483,14 @@ pub struct BlockFaults {
 }
 
 impl BlockFaults {
+    /// Whether any site fires on this execution. An injector that arms
+    /// nothing behaves exactly like [`NoFaults`], so a driver may run the
+    /// block with `NoFaults` instead.
+    #[must_use]
+    pub fn is_armed(&self) -> bool {
+        !self.armed.is_empty()
+    }
+
     /// Faults that actually fired during this execution.
     #[must_use]
     pub fn records(&self) -> &[InjectionRecord] {

@@ -48,16 +48,15 @@ pub mod prelude {
     pub use cfmerge_core::inputs::InputSpec;
     pub use cfmerge_core::recovery::{
         resume_sort_robust, simulate_sort_robust, simulate_sort_robust_checkpointed,
-        RecoveryCounters, RecoveryReport, RobustConfig, RobustSortRun, SortService,
+        RecoveryCounters, RecoveryReport, RobustConfig, RobustSortRun,
     };
     pub use cfmerge_core::resilience::{
         AdmissionConfig, BreakerConfig, CheckpointPolicy, HedgeConfig, ResilienceConfig,
-        RetryBudgetConfig, ServiceCounters, ShedPolicy, SortCheckpoint,
+        RetryBudgetConfig, ServiceCounters, ShedPolicy, SortCheckpoint, SortService,
     };
     pub use cfmerge_core::sort::{
-        simulate_sort, simulate_sort_keys, simulate_sort_traced, sort_pairs_stable,
-        try_simulate_sort, Degradation, SortAlgorithm, SortConfig, SortError, SortKey, SortRun,
-        TracedSortRun,
+        simulate_sort, simulate_sort_traced, sort_pairs_stable, try_simulate_sort, Degradation,
+        SortAlgorithm, SortConfig, SortError, SortKey, SortRun, TracedSortRun,
     };
     pub use cfmerge_core::worst_case::WorstCaseBuilder;
     pub use cfmerge_gpu_sim::device::Device;

@@ -15,10 +15,11 @@
 
 use cfmerge::core::inputs::InputSpec;
 use cfmerge::core::params::SortParams;
-use cfmerge::core::recovery::{RobustConfig, SortService};
+use cfmerge::core::recovery::RobustConfig;
 use cfmerge::core::resilience::{
     AdmissionConfig, ClusterConfig, ClusterReport, ClusterService, DeviceFaultPlan,
-    DeviceFaultSpec, LoadGenConfig, MigrationConfig, ResilienceConfig, ShedPolicy, TrafficShape,
+    DeviceFaultSpec, LoadGenConfig, MigrationConfig, ResilienceConfig, ShedPolicy, SortService,
+    TrafficShape,
 };
 use cfmerge::core::sort::{SortAlgorithm, SortConfig};
 use cfmerge_json::ToJson;

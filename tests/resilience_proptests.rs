@@ -18,11 +18,11 @@ use cfmerge::core::inputs::InputSpec;
 use cfmerge::core::params::SortParams;
 use cfmerge::core::recovery::{
     pipeline_shape, resume_sort_robust, simulate_sort_robust, simulate_sort_robust_checkpointed,
-    RobustConfig, SortService,
+    RobustConfig,
 };
 use cfmerge::core::resilience::{
     AdmissionConfig, BreakerConfig, BreakerState, CheckpointPolicy, CircuitBreaker,
-    ResilienceConfig, RetryBudgetConfig, ShedPolicy,
+    ResilienceConfig, RetryBudgetConfig, ShedPolicy, SortService,
 };
 use cfmerge::core::sort::{SortAlgorithm, SortConfig, SortError};
 use cfmerge::gpu_sim::fault::{FaultPlan, FaultSpec};

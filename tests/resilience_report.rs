@@ -9,10 +9,10 @@
 
 use cfmerge::core::inputs::InputSpec;
 use cfmerge::core::params::SortParams;
-use cfmerge::core::recovery::{RobustConfig, SortService};
+use cfmerge::core::recovery::RobustConfig;
 use cfmerge::core::resilience::{
     AdmissionConfig, BreakerConfig, ResilienceConfig, RetryBudgetConfig, ServiceCounters,
-    ShedPolicy,
+    ShedPolicy, SortService,
 };
 use cfmerge::core::sort::{SortAlgorithm, SortConfig};
 use cfmerge::gpu_sim::fault::{FaultKind, FaultPlan, FaultSite, Persistence};

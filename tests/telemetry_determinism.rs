@@ -15,9 +15,9 @@
 
 use cfmerge::core::inputs::InputSpec;
 use cfmerge::core::params::SortParams;
-use cfmerge::core::recovery::{RobustConfig, SortService};
+use cfmerge::core::recovery::RobustConfig;
 use cfmerge::core::resilience::{
-    AdmissionConfig, BreakerConfig, ResilienceConfig, RetryBudgetConfig, ShedPolicy,
+    AdmissionConfig, BreakerConfig, ResilienceConfig, RetryBudgetConfig, ShedPolicy, SortService,
 };
 use cfmerge::core::sort::{SortAlgorithm, SortConfig};
 use cfmerge::core::telemetry::{LogHistogram, MetricsRegistry, MetricsSnapshot};
