@@ -127,9 +127,29 @@ impl BankModel {
     ///
     /// The implementation is the hot inner loop of the whole simulator:
     /// per-bank distinct counting over at most `w` addresses using two
-    /// small stack buffers, no allocation.
+    /// small stack buffers, no allocation. Power-of-two bank counts and
+    /// widths (every shipping device) locate rows with shift and mask; the
+    /// paper's 12-, 9- and 6-bank figure models take the division path.
     #[must_use]
     pub fn round_cost(&self, addrs: &[u32]) -> RoundCost {
+        if self.num_banks.is_power_of_two() && self.bank_word_u32s.is_power_of_two() {
+            let (shift, mask) = (self.bank_word_u32s.trailing_zeros(), self.num_banks - 1);
+            self.count_distinct_rows(addrs, |addr| {
+                let row = addr >> shift;
+                (row, row & mask)
+            })
+        } else {
+            self.count_distinct_rows(addrs, |addr| {
+                let row = self.row_of(addr);
+                (row, row % self.num_banks)
+            })
+        }
+    }
+
+    /// [`Self::round_cost`] with `locate` mapping a word address to its
+    /// `(row, bank)`.
+    #[inline(always)]
+    fn count_distinct_rows(&self, addrs: &[u32], locate: impl Fn(u32) -> (u32, u32)) -> RoundCost {
         if addrs.is_empty() {
             return RoundCost::default();
         }
@@ -153,8 +173,8 @@ impl BankModel {
 
         let mut max_distinct = 0u8;
         for &addr in addrs {
-            let row = addr / self.bank_word_u32s;
-            let b = (row % self.num_banks) as usize;
+            let (row, b) = locate(addr);
+            let b = b as usize;
             let seen = match distinct[b] {
                 0 => {
                     first[b] = row;

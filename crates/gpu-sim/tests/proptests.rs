@@ -5,7 +5,7 @@ use cfmerge_gpu_sim::block::BlockSim;
 use cfmerge_gpu_sim::global::{efficiency, sectors_touched};
 use cfmerge_gpu_sim::profiler::PhaseClass;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 proptest! {
     /// round_cost equals the brute-force definition: max over banks of
@@ -23,6 +23,28 @@ proptest! {
             per_bank[(a % w) as usize].insert(a);
         }
         let expect = per_bank.iter().map(|s| s.len() as u32).max().unwrap_or(0);
+        prop_assert_eq!(cost.transactions, expect);
+        prop_assert_eq!(cost.conflicts, expect.saturating_sub(1));
+        prop_assert_eq!(cost.active_lanes as usize, addrs.len());
+    }
+
+    /// Both round_cost paths (shift/mask for power-of-two shapes, division
+    /// for the paper's 12-, 9- and 6-bank models) equal the definition on
+    /// fused rows: max over banks of the distinct rows in that bank.
+    #[test]
+    fn prop_round_cost_matches_rows_per_bank(
+        wi in 0usize..6,
+        word in 1u32..=2,
+        addrs in proptest::collection::vec(0u32..4096, 0..64),
+    ) {
+        let w = [6u32, 9, 12, 16, 32, 64][wi];
+        let addrs: Vec<u32> = addrs.into_iter().take(w as usize).collect();
+        let mut rows_per_bank: HashMap<u32, HashSet<u32>> = HashMap::new();
+        for &a in &addrs {
+            rows_per_bank.entry((a / word) % w).or_default().insert(a / word);
+        }
+        let expect = rows_per_bank.values().map(|rows| rows.len() as u32).max().unwrap_or(0);
+        let cost = BankModel::with_word(w, word).round_cost(&addrs);
         prop_assert_eq!(cost.transactions, expect);
         prop_assert_eq!(cost.conflicts, expect.saturating_sub(1));
         prop_assert_eq!(cost.active_lanes as usize, addrs.len());

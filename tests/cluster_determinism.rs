@@ -5,10 +5,11 @@
 //!    fault plan, admission policy), running the identical cluster twice
 //!    yields a bit-identical report: same outcome order, same modeled
 //!    completion times, same counters, same SLO percentiles, same
-//!    serialized JSON. The workspace's rayon is the deterministic
-//!    vendored shim (`vendor/rayon`), so available parallelism cannot
-//!    perturb the event order either — the serialized-report equality
-//!    here is what pins that contract.
+//!    serialized JSON. Blocks fan out over real threads
+//!    (`vendor/rayon`), but results return in block order, so the
+//!    thread count cannot perturb the event order either; the
+//!    serialized-report equality here, and its 1/2/4/7-thread twin in
+//!    `tests/thread_invariance.rs`, pin that contract.
 //! 2. **Single-device parity** — with faults off, one device, and every
 //!    arrival at `t = 0`, the cluster is bit-identical to `SortService`:
 //!    outcomes, modeled clock, and counters.
