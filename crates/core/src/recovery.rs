@@ -28,6 +28,12 @@
 //! [`NoFaults`], so with an empty plan every block takes the zero-cost
 //! fault-free path and verification is the only work added.
 //!
+//! Within one launch, fault-free blocks with null observers form
+//! **classes** of identical order pattern. One representative per class
+//! is simulated and its profile is reused for every member; each
+//! member's output is the host reference, and the class's last member is
+//! simulated again as an audit. Nothing is cached across launches.
+//!
 //! See `docs/ROBUSTNESS.md` for the full design.
 
 use crate::params::SortParams;
@@ -37,16 +43,18 @@ use crate::sort::blocksort::blocksort_block_faulty;
 use crate::sort::error::{validate_sort_config, Degradation, SortError};
 use crate::sort::key::SortKey;
 use crate::sort::merge_pass::{merge_pass_block_faulty, MergeChunkJob};
-use crate::sort::pipeline::{KernelReport, SortAlgorithm, SortConfig, SortRun};
+use crate::sort::pipeline::{sort_trace, KernelReport, SortAlgorithm, SortConfig, SortRun};
 use crate::verify::{multiset_checksum, verify_sorted_checksum, VerifyFailure};
 use cfmerge_gpu_sim::check::{MemCheck, NoCheck};
 use cfmerge_gpu_sim::fault::{FaultInjector, FaultPlan, InjectionRecord, NoFaults};
+use cfmerge_gpu_sim::global::SECTOR_WORDS;
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
-use cfmerge_gpu_sim::trace::{NullTracer, Tracer};
+use cfmerge_gpu_sim::trace::{BlockTracer, NullTracer, SortTrace, Tracer};
 use cfmerge_json::{FromJson, Json, JsonError, ToJson};
-use cfmerge_mergepath::diagonal::merge_path_steps;
+use cfmerge_mergepath::diagonal::{merge_path, merge_path_steps};
 use cfmerge_mergepath::partition::partition_merge;
 use rayon::prelude::*;
+use std::collections::HashMap;
 
 /// Configuration of the robust driver: the underlying sort configuration
 /// plus the recovery policy.
@@ -279,6 +287,31 @@ enum Kernel<'a, K> {
     MergePass { src: &'a [K], jobs: &'a [MergeChunkJob] },
 }
 
+/// Merge-path diagonals a merge block's prefilter probes.
+const PREFILTER_PROBES: usize = 64;
+
+/// One multiply-rotate hashing step (FxHash's): fold `v` into `h`.
+fn mix(h: u64, v: u64) -> u64 {
+    (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// The position-dependent part of a merge block's class key: `|A|`, then
+/// where its loads fall in 32-byte sectors. Loads use absolute indices,
+/// and a sector count survives only shifts by whole sectors, so the key
+/// holds `a_begin` and `b_begin` mod [`SECTOR_WORDS`] and whether `A`'s
+/// last sector is `B`'s first (one warp round then reads both).
+fn merge_geometry(job: MergeChunkJob, tile: usize) -> [u32; 4] {
+    let sector = SECTOR_WORDS as usize;
+    let a_len = job.a_len();
+    let shared = a_len > 0 && a_len < tile && (job.a_end - 1) / sector == job.b_begin / sector;
+    [a_len as u32, (job.a_begin % sector) as u32, (job.b_begin % sector) as u32, u32::from(shared)]
+}
+
+/// A merge job's ranges `(A, B)` in `src`.
+fn merge_parts<K>(src: &[K], job: MergeChunkJob) -> (&[K], &[K]) {
+    (&src[job.a_begin..job.a_end], &src[job.b_begin..job.b_end])
+}
+
 impl<K: SortKey> Kernel<'_, K> {
     /// Multiset checksum block `b`'s output must carry: its input tile's,
     /// or by additivity the sum of its two merge ranges'.
@@ -286,12 +319,146 @@ impl<K: SortKey> Kernel<'_, K> {
         match *self {
             Kernel::BlockSort { src } => multiset_checksum(&src[b * tile..(b + 1) * tile]),
             Kernel::MergePass { src, jobs } => {
-                let job = jobs[b];
-                multiset_checksum(&src[job.a_begin..job.a_end])
-                    .wrapping_add(multiset_checksum(&src[job.b_begin..job.b_end]))
+                let (a, bs) = merge_parts(src, jobs[b]);
+                multiset_checksum(a).wrapping_add(multiset_checksum(bs))
             }
         }
     }
+
+    /// Cheap prefilter of block `b`'s class: a function of its
+    /// [`Self::class_key`], so the blocks of one class always agree. The
+    /// block sort hashes the tile's adjacent comparisons; a merge block
+    /// hashes its geometry and its merge-path splits at the inner
+    /// multiples of `tile / PREFILTER_PROBES`.
+    fn prefilter(&self, b: usize, tile: usize) -> u64 {
+        match *self {
+            Kernel::BlockSort { src } => src[b * tile..(b + 1) * tile]
+                .windows(2)
+                .fold(0, |h, w| mix(h, w[0].cmp(&w[1]) as i8 as u64)),
+            Kernel::MergePass { src, jobs } => {
+                let (a, bs) = merge_parts(src, jobs[b]);
+                let h = merge_geometry(jobs[b], tile).into_iter().fold(0, |h, g| mix(h, g.into()));
+                (1..PREFILTER_PROBES)
+                    .fold(h, |h, k| mix(h, merge_path(a, bs, k * tile / PREFILTER_PROBES) as u64))
+            }
+        }
+    }
+
+    /// Block `b`'s exact class key, with its host-reference output
+    /// written to `out`.
+    ///
+    /// Every data-dependent branch in both kernels is a `<=` between two
+    /// keys of the block, so blocks with equal keys issue the same
+    /// address stream and ALU charges and get the same profile:
+    /// - block sort: the tile's dense-rank pattern, ties kept (the kernel
+    ///   addresses global memory tile-relative, so position is moot);
+    /// - merge pass: [`merge_geometry`], then one code per output of the
+    ///   stable merge: bit 0 set when it came from `B`, bit 1 set when it
+    ///   equals the output before it.
+    fn class_key(&self, b: usize, out: &mut [K]) -> Vec<u32> {
+        let tile = out.len();
+        match *self {
+            Kernel::BlockSort { src } => {
+                let mut order: Vec<(K, u32)> =
+                    src[b * tile..(b + 1) * tile].iter().copied().zip(0..).collect();
+                order.sort_unstable();
+                let mut ranks = vec![0u32; tile];
+                let mut rank = 0;
+                for (j, &(k, i)) in order.iter().enumerate() {
+                    if j > 0 && k != order[j - 1].0 {
+                        rank += 1;
+                    }
+                    ranks[i as usize] = rank;
+                    out[j] = k;
+                }
+                ranks
+            }
+            Kernel::MergePass { src, jobs } => {
+                let (a, bs) = merge_parts(src, jobs[b]);
+                let mut key = Vec::with_capacity(4 + tile);
+                key.extend(merge_geometry(jobs[b], tile));
+                let (mut i, mut j) = (0, 0);
+                for o in 0..tile {
+                    let from_b = i == a.len() || (j < bs.len() && bs[j] < a[i]);
+                    let k = if from_b { bs[j] } else { a[i] };
+                    (i, j) = if from_b { (i, j + 1) } else { (i + 1, j) };
+                    key.push(u32::from(from_b) | u32::from(o > 0 && out[o - 1] == k) << 1);
+                    out[o] = k;
+                }
+                key
+            }
+        }
+    }
+}
+
+/// How one block of a launch executes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Simulated: a block alone in its class, or a class representative.
+    Simulate,
+    /// Reuses the profile of its class representative `rep`. Its output,
+    /// the host reference, is already in place.
+    Member { rep: usize },
+    /// The class's last member: simulated anyway, and must reproduce the
+    /// representative's profile and its own host-reference output.
+    Audit { rep: usize },
+}
+
+/// Group one launch's `eligible` blocks into classes of equal
+/// [`Kernel::class_key`]; every other block is simulated alone.
+///
+/// Each block's cheap [`Kernel::prefilter`] proposes the lowest block
+/// with the same prefilter as its representative. A class of two saves
+/// nothing (its one member would be the audit), so only prefilter groups
+/// of three or more go on: their candidates compute their full key,
+/// writing their host-reference output to their chunk of `dst`, and join
+/// the class only when that key equals the representative's element for
+/// element. At most one full key is held per class, and the roles do not
+/// depend on the thread count.
+fn block_classes<K: SortKey>(
+    kernel: Kernel<'_, K>,
+    eligible: &dyn Fn(usize) -> bool,
+    dst: &mut [K],
+    tile: usize,
+) -> Vec<Role> {
+    let blocks = dst.len() / tile;
+    let mut first = HashMap::new();
+    let mut rep_of = vec![None; blocks];
+    let mut candidates = vec![0usize; blocks];
+    for b in (0..blocks).filter(|&b| eligible(b)) {
+        let rep = *first.entry(kernel.prefilter(b, tile)).or_insert(b);
+        if rep != b {
+            rep_of[b] = Some(rep);
+            candidates[rep] += 1;
+        }
+    }
+    let reps: Vec<usize> = (0..blocks).filter(|&r| candidates[r] >= 2).collect();
+    let mut roles = vec![Role::Simulate; blocks];
+    if reps.is_empty() {
+        return roles;
+    }
+    let rep_keys: Vec<Vec<u32>> =
+        reps.iter().map(|&r| kernel.class_key(r, &mut vec![K::default(); tile])).collect();
+    let confirmed: Vec<bool> = dst
+        .par_chunks_mut(tile)
+        .enumerate()
+        .map(|(b, out)| {
+            rep_of[b]
+                .and_then(|r| reps.binary_search(&r).ok())
+                .is_some_and(|i| kernel.class_key(b, out) == rep_keys[i])
+        })
+        .collect();
+    let mut audited = vec![false; blocks];
+    for b in (0..blocks).rev() {
+        if let (true, Some(rep)) = (confirmed[b], rep_of[b]) {
+            roles[b] = if std::mem::replace(&mut audited[rep], true) {
+                Role::Member { rep }
+            } else {
+                Role::Audit { rep }
+            };
+        }
+    }
+    roles
 }
 
 /// Host-side partition of one merge pass over sorted runs of `width`:
@@ -576,9 +743,13 @@ impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
         out
     }
 
-    /// Launch `kernel` as launch `idx`: every block runs its
-    /// execute-verify-retry loop, stragglers get a hedged duplicate, and
-    /// the launch is priced on top of `base_profile`.
+    /// Launch `kernel` as launch `idx`: blocks form classes (see
+    /// [`block_classes`]) unless a tracer or checker observes them; every
+    /// simulated block runs its execute-verify-retry loop, every class
+    /// member verifies its host-reference output and reuses its
+    /// representative's profile, each class's audit must match, stragglers
+    /// get a hedged duplicate, and the launch is priced on top of
+    /// `base_profile`.
     fn launch<K: SortKey>(
         &self,
         kernel: Kernel<'_, K>,
@@ -588,11 +759,56 @@ impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
         report: &mut RecoveryReport,
     ) -> Result<Launched<Tr, Ck>, SortError> {
         let tile = self.cfg.params.tile();
-        let mut execs: Vec<BlockExec<Tr, Ck>> = dst
+        let roles = if Tr::ACTIVE || Ck::ACTIVE {
+            vec![Role::Simulate; dst.len() / tile]
+        } else {
+            let fault_free =
+                |b: usize| !self.plan.block_faults(idx, b as u32, 0, self.fallback).is_armed();
+            block_classes(kernel, &fault_free, dst, tile)
+        };
+        // Each audit's host-reference output, before its simulation
+        // overwrites it.
+        let audits: Vec<(usize, usize, Vec<K>)> = roles
+            .iter()
+            .enumerate()
+            .filter_map(|(b, role)| match *role {
+                Role::Audit { rep } => Some((b, rep, dst[b * tile..(b + 1) * tile].to_vec())),
+                _ => None,
+            })
+            .collect();
+        let (mut execs, reused): (Vec<BlockExec<Tr, Ck>>, Vec<Option<usize>>) = dst
             .par_chunks_mut(tile)
             .enumerate()
-            .map(|(b, chunk)| self.recover_block(kernel, (idx, name), b, chunk))
-            .collect();
+            .map(|(b, chunk)| match roles[b] {
+                Role::Member { rep }
+                    if verify_sorted_checksum(chunk, kernel.expect(b, tile)).is_ok() =>
+                {
+                    let observers = Some((self.observe)());
+                    (BlockExec { executions: 1, observers, ..BlockExec::new() }, Some(rep))
+                }
+                _ => (self.recover_block(kernel, (idx, name), b, chunk), None),
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .unzip();
+        for (b, rep, reference) in audits {
+            let verified = execs[b].failure.is_none() && execs[rep].failure.is_none();
+            if verified
+                && (execs[b].profile != execs[rep].profile
+                    || dst[b * tile..(b + 1) * tile] != reference[..])
+            {
+                return Err(SortError::ClassAuditMismatch {
+                    kernel: name.to_string(),
+                    representative: rep,
+                    member: b,
+                });
+            }
+        }
+        for (b, rep) in reused.into_iter().enumerate() {
+            if let Some(rep) = rep {
+                execs[b].profile = execs[rep].profile.clone();
+            }
+        }
         let latencies: Vec<u64> = execs.iter().map(|ex| ex.spike_cycles).collect();
         for b in self.rcfg.hedge.stragglers(&latencies) {
             if execs[b].failure.is_some() {
@@ -870,6 +1086,26 @@ pub fn simulate_sort_robust<K: SortKey>(
     plan: &FaultPlan,
 ) -> Result<RobustSortRun<K>, SortError> {
     Ok(drive(input, algo, config, plan, &mut CkptCtl::noop(), &|| (NullTracer, NoCheck))?.0)
+}
+
+/// [`simulate_sort_robust`] with every block traced: the run plus its
+/// [`SortTrace`] (the accepted attempt of each block). A traced run forms
+/// no block classes, so it simulates every block of every launch; the
+/// trace's label names the requested configuration.
+///
+/// # Errors
+/// Same contract as [`simulate_sort_robust`].
+pub fn simulate_sort_robust_traced<K: SortKey>(
+    input: &[K],
+    algo: SortAlgorithm,
+    config: &RobustConfig,
+    plan: &FaultPlan,
+) -> Result<(RobustSortRun<K>, SortTrace), SortError> {
+    let banks = config.base.device.bank_model();
+    let observe: Observe<'_, BlockTracer, NoCheck> = &|| (BlockTracer::new(banks), NoCheck);
+    let (run, observers) = drive(input, algo, config, plan, &mut CkptCtl::noop(), observe)?;
+    let trace = sort_trace(&run.run, observers, run.algorithm, &config.base);
+    Ok((run, trace))
 }
 
 /// [`simulate_sort_robust`] with checkpoint capture: returns the run
@@ -1410,6 +1646,137 @@ mod tests {
             resume_sort_robust::<u32>(&cp, &other_cfg, &FaultPlan::none()),
             Err(SortError::CheckpointInvalid { .. })
         ));
+    }
+
+    /// Every block of a launch eligible: its roles, with the host
+    /// reference written into a scratch destination.
+    fn roles<K: SortKey>(kernel: Kernel<'_, K>, blocks: usize, tile: usize) -> Vec<Role> {
+        block_classes(kernel, &|_| true, &mut vec![K::default(); blocks * tile], tile)
+    }
+
+    /// Roles of every launch of the pipeline over `input` (E = 5, u = 32).
+    fn pipeline_roles(input: &[u32]) -> Vec<Vec<Role>> {
+        let tile = 160;
+        let mut src = input.to_vec();
+        src.resize(pipeline_shape(input.len(), &SortParams::new(5, 32))[0] as usize * tile, !0);
+        let mut out = vec![roles(Kernel::BlockSort { src: &src }, src.len() / tile, tile)];
+        src.chunks_mut(tile).for_each(<[u32]>::sort_unstable);
+        let mut width = tile;
+        while width < src.len() {
+            let (jobs, _) = partition_pass(&src, width, tile, false);
+            out.push(roles(Kernel::MergePass { src: &src, jobs: &jobs }, jobs.len(), tile));
+            width *= 2;
+            src.chunks_mut(width).for_each(<[u32]>::sort_unstable);
+        }
+        out
+    }
+
+    #[test]
+    fn repeating_inputs_form_classes_in_every_launch() {
+        let n = 8 * 160;
+        for (what, input) in [
+            ("worst-case", InputSpec::worst_case(SortParams::new(5, 32)).generate(n)),
+            ("sorted", InputSpec::Sorted.generate(n)),
+            ("all-equal", vec![7; n]),
+            ("two-valued", (0..n as u32).map(|i| i % 2).collect()),
+        ] {
+            for (launch, roles) in pipeline_roles(&input).iter().enumerate() {
+                let shared = roles.iter().filter(|r| **r != Role::Simulate).count();
+                assert!(shared > 0, "{what}: launch {launch} formed no class: {roles:?}");
+            }
+        }
+        // Three full sorted tiles share a class; the sentinel-padded
+        // fourth does not.
+        let padded = pipeline_roles(&InputSpec::Sorted.generate(3 * 160 + 17));
+        assert_eq!(
+            padded[0][1..],
+            [Role::Member { rep: 0 }, Role::Audit { rep: 0 }, Role::Simulate]
+        );
+        let random = InputSpec::UniformRandom { seed: 3 }.generate(n);
+        assert!(pipeline_roles(&random)[0].iter().all(|r| *r == Role::Simulate));
+    }
+
+    #[test]
+    fn sector_phase_separates_equal_order_patterns() {
+        let (u, e, tile) = (32, 5, 160);
+        // One (A, B) pair, with B 8 words past A's end, stored at four
+        // offsets: one order pattern. The last offset is one word off the
+        // sector grid; A's last sector is never B's first.
+        let pair: Vec<u32> = (0..80).map(|i| 2 * i).chain((0..80).map(|i| 2 * i + 1)).collect();
+        let at = [0, 176, 352, 529];
+        let mut src = vec![0; at[3] + 168];
+        for o in at {
+            src[o..o + 80].copy_from_slice(&pair[..80]);
+            src[o + 88..o + 168].copy_from_slice(&pair[80..]);
+        }
+        let jobs = at.map(|o| MergeChunkJob {
+            a_begin: o,
+            a_end: o + 80,
+            b_begin: o + 88,
+            b_end: o + 168,
+        });
+        let profiles = jobs.map(|job| {
+            let banks = cfmerge_gpu_sim::banks::BankModel::new(32);
+            let strategy = crate::sort::blocksort::MergeStrategy::DirectSerial;
+            let mut out = vec![0; tile];
+            crate::sort::merge_pass::merge_pass_block(
+                banks, u, e, strategy, &src, job, &mut out, true,
+            )
+        });
+        // Whole-sector shifts keep the profile; the one-word shift moves
+        // the loads across sectors, so that block must not join.
+        assert_eq!(profiles[0], profiles[1]);
+        assert_ne!(profiles[0], profiles[3]);
+        assert_eq!(
+            roles(Kernel::MergePass { src: &src, jobs: &jobs }, 4, tile),
+            [Role::Simulate, Role::Member { rep: 0 }, Role::Audit { rep: 0 }, Role::Simulate]
+        );
+    }
+
+    #[test]
+    fn tile_patterns_with_different_ties_differ() {
+        let tile = 150;
+        let tiles: Vec<u32> = [[1, 1, 2], [1, 2, 2], [5, 5, 9], [3, 3, 4]]
+            .iter()
+            .flat_map(|p| p.iter().copied().cycle().take(tile))
+            .collect();
+        let kernel = Kernel::BlockSort { src: &tiles };
+        let key = |b| kernel.class_key(b, &mut vec![0; tile]);
+        assert_ne!(key(0), key(1));
+        assert_eq!(key(0), key(2), "same pattern, other values");
+        assert_eq!(
+            roles(kernel, 4, tile),
+            [Role::Simulate, Role::Simulate, Role::Member { rep: 0 }, Role::Audit { rep: 0 }]
+        );
+    }
+
+    #[test]
+    fn prefilter_collision_simulates_both_blocks() {
+        let tile = 160;
+        // Adjacent comparisons agree (<, >, <, <, …); the rank pattern of
+        // tile 1 differs from tiles 0 and 2.
+        let input: Vec<u32> = [[1, 3, 2], [2, 3, 1], [1, 3, 2]]
+            .iter()
+            .flat_map(|head| head.iter().copied().chain(4..tile as u32 + 1))
+            .collect();
+        let kernel = Kernel::BlockSort { src: &input };
+        assert_eq!(kernel.prefilter(0, tile), kernel.prefilter(1, tile));
+        let key = |b| kernel.class_key(b, &mut vec![0; tile]);
+        assert_ne!(key(0), key(1));
+        assert_eq!(
+            roles(kernel, 3, tile),
+            [Role::Simulate, Role::Simulate, Role::Audit { rep: 0 }]
+        );
+        let cfg = small_rcfg().base;
+        for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
+            let classed = simulate_sort(&input, algo, &cfg);
+            let traced = crate::sort::pipeline::simulate_sort_traced(&input, algo, &cfg).run;
+            assert_eq!(classed.output, traced.output);
+            assert_eq!(classed.kernels.len(), traced.kernels.len());
+            for (c, t) in classed.kernels.iter().zip(&traced.kernels) {
+                assert_eq!((&c.profile, c.time), (&t.profile, t.time), "{}", c.name);
+            }
+        }
     }
 
     #[test]

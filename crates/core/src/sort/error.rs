@@ -123,6 +123,19 @@ pub enum SortError {
         /// Why the ladder had nothing certified to offer.
         why: String,
     },
+    /// A block that shared its class representative's simulation was
+    /// simulated again as the class audit, and its profile or output
+    /// differed from what the class would have reused: the class key
+    /// missed an input the kernel depends on. Never expected; it fails
+    /// the sort rather than return a modeled cost that may be wrong.
+    ClassAuditMismatch {
+        /// Kernel launch name (`blocksort`, `merge-pass-0`, …).
+        kernel: String,
+        /// Block index of the class representative.
+        representative: usize,
+        /// Block index of the audited member.
+        member: usize,
+    },
 }
 
 impl std::fmt::Display for SortError {
@@ -165,6 +178,11 @@ impl std::fmt::Display for SortError {
             SortError::Uncertified { algo, device, why } => {
                 write!(f, "no certified launch config for {algo} on {device}: {why}")
             }
+            SortError::ClassAuditMismatch { kernel, representative, member } => write!(
+                f,
+                "class audit failed: {kernel} block {member} does not reproduce its \
+                 representative block {representative}"
+            ),
         }
     }
 }
@@ -232,6 +250,12 @@ impl ToJson for SortError {
                 ("algo", Json::from(algo.as_str())),
                 ("device", Json::from(device.as_str())),
                 ("why", Json::from(why.as_str())),
+            ]),
+            SortError::ClassAuditMismatch { kernel, representative, member } => Json::obj([
+                ("kind", Json::from("class-audit-mismatch")),
+                ("kernel", Json::from(kernel.as_str())),
+                ("representative", Json::from(*representative)),
+                ("member", Json::from(*member)),
             ]),
         }
     }
@@ -373,5 +397,12 @@ mod tests {
         };
         assert!(d.to_string().contains("cf-merge"));
         assert!(d.to_json().req("kind").is_ok());
+        let e = SortError::ClassAuditMismatch {
+            kernel: "merge-pass-0".into(),
+            representative: 0,
+            member: 7,
+        };
+        assert!(e.to_string().contains("merge-pass-0 block 7"));
+        assert_eq!(e.to_json().req("member").ok().and_then(Json::as_u64), Some(7));
     }
 }

@@ -15,7 +15,7 @@ use super::blocksort::MergeStrategy;
 use super::error::SortError;
 use super::key::SortKey;
 use crate::params::SortParams;
-use crate::recovery::simulate_sort_observed;
+use crate::recovery::{simulate_sort_observed, Observers};
 use cfmerge_gpu_sim::check::{Finding, NoCheck, Sanitizer};
 use cfmerge_gpu_sim::device::Device;
 use cfmerge_gpu_sim::occupancy::{mergesort_regs_estimate, BlockResources};
@@ -218,6 +218,17 @@ pub fn simulate_sort_traced<K: SortKey>(
     let (run, observers) = or_panic(simulate_sort_observed(input, algo, config, &|| {
         (BlockTracer::new(banks), NoCheck)
     }));
+    let trace = sort_trace(&run, observers, algo, config);
+    TracedSortRun { run, trace }
+}
+
+/// Assemble the [`SortTrace`] of `run` from its blocks' tracers.
+pub(crate) fn sort_trace<K>(
+    run: &SortRun<K>,
+    observers: Observers<BlockTracer, NoCheck>,
+    algo: SortAlgorithm,
+    config: &SortConfig,
+) -> SortTrace {
     let kernels = run
         .kernels
         .iter()
@@ -229,12 +240,11 @@ pub fn simulate_sort_traced<K: SortKey>(
             blocks: blocks.into_iter().map(|(t, NoCheck)| t).collect(),
         })
         .collect();
-    let trace = SortTrace {
+    SortTrace {
         label: format!("{}/E={},u={}/n={}", algo.label(), config.params.e, config.params.u, run.n),
         num_banks: config.device.warp_width,
         kernels,
-    };
-    TracedSortRun { run, trace }
+    }
 }
 
 /// One sanitizer finding, located to the launch and block that raised it.

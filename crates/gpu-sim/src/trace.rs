@@ -72,6 +72,14 @@ pub struct GlobalRoundEvent {
 /// Every method has an inlined empty default, so implementors override
 /// only what they need and [`NullTracer`] compiles to nothing.
 pub trait Tracer {
+    /// Whether this tracer observes anything. The pipeline driver only
+    /// shares one block's simulation among blocks of identical order
+    /// pattern when every block's tracer is inactive, because a shared
+    /// simulation emits no events for the blocks that reuse it. Unlike
+    /// [`MemCheck::ACTIVE`](crate::check::MemCheck::ACTIVE) the default is
+    /// `true`, so a new tracer sees every block unless it opts out.
+    const ACTIVE: bool = true;
+
     /// A barrier-delimited phase begins.
     #[inline]
     fn phase_begin(&mut self, _class: PhaseClass) {}
@@ -98,7 +106,9 @@ pub trait Tracer {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullTracer;
 
-impl Tracer for NullTracer {}
+impl Tracer for NullTracer {
+    const ACTIVE: bool = false;
+}
 
 /// A phase span on a block's tick timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

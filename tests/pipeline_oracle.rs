@@ -2,6 +2,12 @@
 //! driver, so on an empty fault plan they must agree bit for bit, and a
 //! single transient fault must cost exactly one priced retry and touch
 //! no launch's report.
+//!
+//! The plain entry points group each launch's blocks into classes of
+//! identical order pattern and simulate one block per class; the traced
+//! and checked ones simulate every block. Inputs whose blocks repeat
+//! (the worst case, sorted, all-equal, two-valued, a sentinel-padded
+//! tail) pin the classed run to the block-by-block one.
 
 use cfmerge::core::inputs::InputSpec;
 use cfmerge::core::params::SortParams;
@@ -24,8 +30,26 @@ fn keys_u32(n: usize) -> Vec<u32> {
     InputSpec::UniformRandom { seed: 61 }.generate(n)
 }
 
+/// Order-preserving widening: equal keys stay equal, so a `u64` input
+/// has the order pattern of its `u32` source.
+fn widen(keys: Vec<u32>) -> Vec<u64> {
+    keys.into_iter().map(|k| (u64::from(k) << 32) | u64::from(k.rotate_left(7))).collect()
+}
+
 fn keys_u64(n: usize) -> Vec<u64> {
-    keys_u32(n).into_iter().map(|k| (u64::from(k) << 32) | u64::from(k.rotate_left(7))).collect()
+    widen(keys_u32(n))
+}
+
+/// Inputs whose blocks share order patterns within a launch.
+fn repeating_inputs() -> Vec<(&'static str, Vec<u32>)> {
+    let n = 8 * 160;
+    vec![
+        ("worst-case", InputSpec::worst_case(config().params).generate(n)),
+        ("sorted", InputSpec::Sorted.generate(n)),
+        ("all-equal", vec![7; n]),
+        ("two-valued", (0..n as u32).map(|i| i % 2).collect()),
+        ("sentinel-padded", InputSpec::Sorted.generate(3 * 160 + 17)),
+    ]
 }
 
 fn assert_same_report(a: &KernelReport, b: &KernelReport, what: &str) {
@@ -78,6 +102,39 @@ fn fault_free_entry_points_agree_u32() {
 #[test]
 fn fault_free_entry_points_agree_u64() {
     entry_points_agree(&keys_u64(4 * 160 + 13));
+}
+
+#[test]
+fn classed_runs_match_every_block_simulated_u32() {
+    for (what, input) in repeating_inputs() {
+        println!("{what}");
+        entry_points_agree(&input);
+    }
+}
+
+#[test]
+fn classed_runs_match_every_block_simulated_u64() {
+    for (what, input) in repeating_inputs() {
+        println!("{what}");
+        entry_points_agree(&widen(input));
+    }
+}
+
+/// The worst case at the paper's size (n = 2^16·15, E = 15, u = 512),
+/// where every block of every launch shares one order pattern: the
+/// classed run must match the traced one, which simulates all 128 blocks
+/// of each launch. Ignored by default (a second of release time, minutes
+/// in debug); CI runs it with `--release -- --include-ignored`.
+#[test]
+#[ignore = "paper-size; run in release with --include-ignored"]
+fn classed_worst_case_at_paper_size_matches_traced() {
+    let cfg = SortConfig::paper_e15_u512();
+    let input = InputSpec::worst_case(cfg.params).generate((1 << 16) * 15);
+    for algo in ALGOS {
+        let classed = simulate_sort(&input, algo, &cfg);
+        let traced = simulate_sort_traced(&input, algo, &cfg);
+        assert_same_run(&classed, &traced.run, &format!("{} paper size", algo.label()));
+    }
 }
 
 /// One transient stuck bank at (kernel 1, block 1), i.e. block 1 of

@@ -8,10 +8,12 @@
 
 use cfmerge::core::inputs::InputSpec;
 use cfmerge::core::params::SortParams;
-use cfmerge::core::recovery::{pipeline_shape, simulate_sort_robust, RobustConfig};
+use cfmerge::core::recovery::{
+    pipeline_shape, simulate_sort_robust, simulate_sort_robust_traced, RobustConfig,
+};
 use cfmerge::core::sort::{SortAlgorithm, SortConfig};
 use cfmerge::core::verify::verify_sorted_permutation;
-use cfmerge::gpu_sim::fault::{FaultPlan, FaultSpec};
+use cfmerge::gpu_sim::fault::{FaultKind, FaultPlan, FaultSite, FaultSpec, Persistence};
 use cfmerge_json::{FromJson, Json, ToJson};
 
 #[test]
@@ -65,4 +67,39 @@ fn recovery_report_matches_golden_file() {
     )
     .expect("counters round-trip");
     assert_eq!(counters, run.report.counters);
+}
+
+/// One block of a worst-case block sort, where every block shares one
+/// order pattern, carries a transient stuck bank. That block must run
+/// alone (its fault fires, is detected and is retried), and the report
+/// must equal the same run with a tracer attached, which forms no block
+/// classes and simulates every block.
+#[test]
+fn faulted_block_runs_alone_in_a_classed_launch() {
+    let params = SortParams::new(5, 32);
+    let input = InputSpec::worst_case(params).generate(8 * params.tile());
+    let rcfg = RobustConfig::new(SortConfig::with_params(params));
+    let plan = FaultPlan::from_sites(vec![FaultSite {
+        kernel: 0,
+        block: 0,
+        phase: 1,
+        kind: FaultKind::StuckBank { bank: 3, bit: 2 },
+        persistence: Persistence::Transient,
+    }]);
+    for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
+        let classed = simulate_sort_robust(&input, algo, &rcfg, &plan).expect("recoverable");
+        let (traced, _) = simulate_sort_robust_traced(&input, algo, &rcfg, &plan).expect("traced");
+        let detected: Vec<_> =
+            classed.report.detections.iter().map(|d| (d.kernel.as_str(), d.block)).collect();
+        assert_eq!(detected, [("blocksort", 0)], "{algo:?}");
+        assert_eq!(classed.report.counters.retries, 1, "{algo:?}");
+        assert_eq!(
+            classed.report.to_json().to_string_pretty(),
+            traced.report.to_json().to_string_pretty(),
+            "{algo:?}"
+        );
+        assert_eq!(classed.run.output, traced.run.output, "{algo:?}");
+        assert_eq!(classed.run.simulated_seconds, traced.run.simulated_seconds, "{algo:?}");
+        assert_eq!(format!("{:?}", classed.run.kernels), format!("{:?}", traced.run.kernels));
+    }
 }

@@ -64,6 +64,14 @@ fn simulate_sort_u64() {
     assert_thread_count_invariant(|| sort_fingerprint(&input));
 }
 
+/// The worst case shares one order pattern across the blocks of every
+/// launch, so each launch simulates one block per class and reuses it.
+#[test]
+fn simulate_sort_worst_case() {
+    let input = InputSpec::worst_case(config().params).generate(16 * 160);
+    assert_thread_count_invariant(|| sort_fingerprint(&input));
+}
+
 /// One transient stuck bank (detected, retried) and one latency spike
 /// (hedged) in different blocks of different launches.
 #[test]
