@@ -20,6 +20,7 @@
 use super::layout::CfLayout;
 use super::schedule::{GatherSchedule, RegisterSlot, ThreadSplit};
 use cfmerge_gpu_sim::block::BlockSim;
+use cfmerge_gpu_sim::fault::FaultWord;
 use cfmerge_gpu_sim::profiler::PhaseClass;
 
 /// One thread's gathered pair, both subsequences in ascending order.
@@ -79,7 +80,7 @@ pub fn dual_scan_block<K, R, F>(
     mut f: F,
 ) -> Vec<R>
 where
-    K: Copy + Default,
+    K: Copy + Default + FaultWord,
     F: FnMut(usize, &DualPair<K>) -> (R, u64),
 {
     assert_eq!(splits.len(), block.threads(), "one split per thread");

@@ -7,9 +7,8 @@
 
 use super::layout::CfLayout;
 use super::schedule::{GatherSchedule, RegisterSlot, ThreadSplit};
-use cfmerge_gpu_sim::block::BlockSim;
+use cfmerge_gpu_sim::block::{BlockSim, Hooks};
 use cfmerge_gpu_sim::profiler::PhaseClass;
-use cfmerge_gpu_sim::trace::Tracer;
 
 /// Run the load-balanced dual subsequence gather on a block whose shared
 /// memory already holds the permuted layout `ρ(A ∪ π(B))`.
@@ -22,8 +21,8 @@ use cfmerge_gpu_sim::trace::Tracer;
 /// Panics if the layout/splits disagree with the block shape.
 #[must_use]
 #[allow(clippy::needless_range_loop)] // round index j is the semantic loop variable
-pub fn gather_block<Tr: Tracer>(
-    block: &mut BlockSim<u32, Tr>,
+pub fn gather_block<H: Hooks>(
+    block: &mut BlockSim<u32, H>,
     layout: &CfLayout,
     splits: &[ThreadSplit],
 ) -> Vec<Vec<u32>> {
@@ -48,8 +47,8 @@ pub fn gather_block<Tr: Tracer>(
 ///
 /// `items` must be indexed by round (the layout [`gather_block`] returns).
 #[allow(clippy::needless_range_loop)] // round index j is the semantic loop variable
-pub fn scatter_block<Tr: Tracer>(
-    block: &mut BlockSim<u32, Tr>,
+pub fn scatter_block<H: Hooks>(
+    block: &mut BlockSim<u32, H>,
     layout: &CfLayout,
     splits: &[ThreadSplit],
     items: &[Vec<u32>],

@@ -24,15 +24,18 @@
 //!    [`SortError::UnrecoverableFault`] — never as silently corrupt
 //!    output.
 //!
-//! A block whose [`FaultPlan`] arms no site runs the kernel with
-//! [`NoFaults`], so with an empty plan every block takes the zero-cost
-//! fault-free path and verification is the only work added.
+//! Every block runs under one pair of hooks (see [`Hooks`]): its
+//! observer, then its injector. A block whose [`FaultPlan`] arms no site
+//! pairs its observer with the null hooks `()`, so with an empty plan and
+//! the null observer every block takes the zero-cost fault-free path and
+//! verification is the only work added.
 //!
-//! Within one launch, fault-free blocks with null observers form
-//! **classes** of identical order pattern. One representative per class
-//! is simulated and its profile is reused for every member; each
-//! member's output is the host reference, and the class's last member is
-//! simulated again as an audit. Nothing is cached across launches.
+//! Within one launch, fault-free blocks whose observer does not set
+//! [`Hooks::OBSERVES`] form **classes** of identical order pattern. One
+//! representative per class is simulated and its profile is reused for
+//! every member; each member's output is the host reference, and the
+//! class's last member is simulated again as an audit. Nothing is cached
+//! across launches.
 //!
 //! See `docs/ROBUSTNESS.md` for the full design.
 
@@ -45,11 +48,11 @@ use crate::sort::key::SortKey;
 use crate::sort::merge_pass::{merge_pass_block_faulty, MergeChunkJob};
 use crate::sort::pipeline::{sort_trace, KernelReport, SortAlgorithm, SortConfig, SortRun};
 use crate::verify::{multiset_checksum, verify_sorted_checksum, VerifyFailure};
-use cfmerge_gpu_sim::check::{MemCheck, NoCheck};
-use cfmerge_gpu_sim::fault::{FaultInjector, FaultPlan, InjectionRecord, NoFaults};
+use cfmerge_gpu_sim::block::Hooks;
+use cfmerge_gpu_sim::fault::{FaultPlan, InjectionRecord};
 use cfmerge_gpu_sim::global::SECTOR_WORDS;
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
-use cfmerge_gpu_sim::trace::{BlockTracer, NullTracer, SortTrace, Tracer};
+use cfmerge_gpu_sim::trace::{BlockTracer, SortTrace};
 use cfmerge_json::{FromJson, Json, JsonError, ToJson};
 use cfmerge_mergepath::diagonal::{merge_path, merge_path_steps};
 use cfmerge_mergepath::partition::partition_merge;
@@ -269,12 +272,11 @@ pub fn pipeline_shape(n: usize, params: &SortParams) -> Vec<u64> {
     vec![runs as u64; 1 + runs.trailing_zeros() as usize]
 }
 
-/// Per-block `(tracer, checker)` of every launch, aligned with
-/// [`SortRun::kernels`].
-pub(crate) type Observers<Tr, Ck> = Vec<Vec<(Tr, Ck)>>;
+/// Per-block observer of every launch, aligned with [`SortRun::kernels`].
+pub(crate) type Observers<O> = Vec<Vec<O>>;
 
-/// Hands every block execution a fresh tracer and checker.
-pub(crate) type Observe<'a, Tr, Ck> = &'a (dyn Fn() -> (Tr, Ck) + Sync);
+/// Hands every block execution a fresh observer.
+pub(crate) type Observe<'a, O> = &'a (dyn Fn() -> O + Sync);
 
 /// One kernel launch of the pipeline: which kernel, over which source
 /// buffer. [`Exec::run`] holds the one call of each kernel's `*_faulty`
@@ -498,20 +500,20 @@ fn partition_pass<K: SortKey>(
 }
 
 /// One verified execution of one block.
-struct Attempt<Tr, Ck> {
+struct Attempt<O> {
     profile: KernelProfile,
-    observers: (Tr, Ck),
+    observer: O,
     spike_cycles: u64,
     injections: Vec<InjectionRecord>,
     verdict: Result<(), VerifyFailure>,
 }
 
 /// Outcome of one block's execute-verify-retry loop.
-struct BlockExec<Tr, Ck> {
+struct BlockExec<O> {
     /// Profile of the successful attempt.
     profile: KernelProfile,
-    /// Observers of the successful attempt (`None` if none succeeded).
-    observers: Option<(Tr, Ck)>,
+    /// Observer of the successful attempt (`None` if none succeeded).
+    observer: Option<O>,
     /// Merged profiles of every failed attempt that was re-run.
     retry_profile: KernelProfile,
     /// Total executions (1 = verified first try).
@@ -533,11 +535,11 @@ struct BlockExec<Tr, Ck> {
     hedge_profile: KernelProfile,
 }
 
-impl<Tr, Ck> BlockExec<Tr, Ck> {
+impl<O> BlockExec<O> {
     fn new() -> Self {
         Self {
             profile: KernelProfile::new(),
-            observers: None,
+            observer: None,
             retry_profile: KernelProfile::new(),
             executions: 0,
             spike_cycles: 0,
@@ -560,7 +562,7 @@ impl<Tr, Ck> BlockExec<Tr, Ck> {
     /// A losing or corrupted hedge is discarded — its injections are still
     /// recorded, but a failed duplicate is not a detection against the
     /// primary result.
-    fn apply_hedge(&mut self, hedge: Attempt<Tr, Ck>) {
+    fn apply_hedge(&mut self, hedge: Attempt<O>) {
         self.hedges += 1;
         self.hedge_profile.merge(&hedge.profile);
         self.injections.extend(hedge.injections);
@@ -605,13 +607,13 @@ impl RecoveryReport {
 }
 
 /// A settled kernel launch.
-struct Launched<Tr, Ck> {
+struct Launched<O> {
     report: KernelReport,
     /// Modeled seconds beyond the main launch: retries, hedges, spikes,
     /// backoff.
     extra_seconds: f64,
-    /// Observers of each block's accepted attempt.
-    observers: Vec<(Tr, Ck)>,
+    /// Observer of each block's accepted attempt.
+    observers: Vec<O>,
     /// The first block that stayed failed after its retries.
     failure: Option<BlockFailure>,
 }
@@ -631,7 +633,7 @@ impl CkptCtl {
 
 /// One pipeline execution's settings: launch configuration, recovery
 /// policy, fault plan, pipeline, and the per-block observer factory.
-struct Exec<'a, Tr, Ck> {
+struct Exec<'a, O> {
     cfg: &'a SortConfig,
     rcfg: &'a RobustConfig,
     plan: &'a FaultPlan,
@@ -639,52 +641,40 @@ struct Exec<'a, Tr, Ck> {
     /// Running the degraded fallback pipeline (fault persistence keys on
     /// it).
     fallback: bool,
-    observe: Observe<'a, Tr, Ck>,
+    observe: Observe<'a, O>,
 }
 
-impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
-    /// Run block `b` of `kernel` into `dst`.
-    fn run<K: SortKey, Fi: FaultInjector>(
+impl<O: Hooks + Send> Exec<'_, O> {
+    /// Run block `b` of `kernel` into `dst` under `hooks`.
+    fn run<K: SortKey, H: Hooks>(
         &self,
         kernel: Kernel<'_, K>,
         b: usize,
         dst: &mut [K],
-        (tracer, checker): (Tr, Ck),
-        faults: Fi,
-    ) -> (KernelProfile, Tr, Ck, Fi) {
+        hooks: H,
+    ) -> (KernelProfile, H) {
         let (banks, u, e) = (self.cfg.device.bank_model(), self.cfg.params.u, self.cfg.params.e);
         let (strategy, count) = (self.algo.strategy(), self.cfg.count_accesses);
         match kernel {
             Kernel::BlockSort { src } => {
                 let tile = u * e;
                 let s = &src[b * tile..(b + 1) * tile];
-                blocksort_block_faulty(
-                    banks,
-                    u,
-                    e,
-                    strategy,
-                    s,
-                    dst,
-                    b * tile,
-                    count,
-                    tracer,
-                    checker,
-                    faults,
-                )
+                blocksort_block_faulty(banks, u, e, strategy, s, dst, b * tile, count, hooks)
             }
-            Kernel::MergePass { src, jobs } => merge_pass_block_faulty(
-                banks, u, e, strategy, src, jobs[b], dst, count, tracer, checker, faults,
-            ),
+            Kernel::MergePass { src, jobs } => {
+                merge_pass_block_faulty(banks, u, e, strategy, src, jobs[b], dst, count, hooks)
+            }
         }
     }
 
     /// Execute block `b` of launch `idx` once, as execution `attempt`,
     /// and verify what it wrote to `dst`.
     ///
-    /// This is the driver's one selection: a block whose plan arms no
-    /// site runs with [`NoFaults`], the zero-cost fault-free kernel;
-    /// every other block runs with its
-    /// [`BlockFaults`](cfmerge_gpu_sim::fault::BlockFaults) injector.
+    /// This is the driver's one selection: the block's observer is paired
+    /// with the null hooks `()` when its plan arms no site, the zero-cost
+    /// fault-free kernel, and with its
+    /// [`BlockFaults`](cfmerge_gpu_sim::fault::BlockFaults) injector
+    /// otherwise.
     fn attempt<K: SortKey>(
         &self,
         kernel: Kernel<'_, K>,
@@ -692,18 +682,18 @@ impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
         b: usize,
         attempt: u32,
         dst: &mut [K],
-    ) -> Attempt<Tr, Ck> {
+    ) -> Attempt<O> {
         let faults = self.plan.block_faults(idx, b as u32, attempt, self.fallback);
-        let observers = (self.observe)();
-        let (profile, tracer, checker, spike_cycles, injections) = if faults.is_armed() {
-            let (p, tr, ck, faults) = self.run(kernel, b, dst, observers, faults);
-            (p, tr, ck, faults.spike_cycles(), faults.into_records())
+        let observer = (self.observe)();
+        let (profile, observer, spike_cycles, injections) = if faults.is_armed() {
+            let (p, (o, faults)) = self.run(kernel, b, dst, (observer, faults));
+            (p, o, faults.spike_cycles(), faults.into_records())
         } else {
-            let (p, tr, ck, NoFaults) = self.run(kernel, b, dst, observers, NoFaults);
-            (p, tr, ck, 0, Vec::new())
+            let (p, (o, ())) = self.run(kernel, b, dst, (observer, ()));
+            (p, o, 0, Vec::new())
         };
         let verdict = verify_sorted_checksum(dst, kernel.expect(b, dst.len()));
-        Attempt { profile, observers: (tracer, checker), spike_cycles, injections, verdict }
+        Attempt { profile, observer, spike_cycles, injections, verdict }
     }
 
     /// Execute-verify loop for block `b`: up to `max_retries`
@@ -714,7 +704,7 @@ impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
         (idx, name): (u32, &str),
         b: usize,
         dst: &mut [K],
-    ) -> BlockExec<Tr, Ck> {
+    ) -> BlockExec<O> {
         let mut out = BlockExec::new();
         for attempt in 0..=self.rcfg.max_retries {
             let a = self.attempt(kernel, idx, b, attempt, dst);
@@ -724,7 +714,7 @@ impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
             match a.verdict {
                 Ok(()) => {
                     out.profile = a.profile;
-                    out.observers = Some(a.observers);
+                    out.observer = Some(a.observer);
                     out.failure = None;
                     return out;
                 }
@@ -744,7 +734,7 @@ impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
     }
 
     /// Launch `kernel` as launch `idx`: blocks form classes (see
-    /// [`block_classes`]) unless a tracer or checker observes them; every
+    /// [`block_classes`]) unless the observer sets [`Hooks::OBSERVES`]; every
     /// simulated block runs its execute-verify-retry loop, every class
     /// member verifies its host-reference output and reuses its
     /// representative's profile, each class's audit must match, stragglers
@@ -757,9 +747,9 @@ impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
         dst: &mut [K],
         base_profile: KernelProfile,
         report: &mut RecoveryReport,
-    ) -> Result<Launched<Tr, Ck>, SortError> {
+    ) -> Result<Launched<O>, SortError> {
         let tile = self.cfg.params.tile();
-        let roles = if Tr::ACTIVE || Ck::ACTIVE {
+        let roles = if O::OBSERVES {
             vec![Role::Simulate; dst.len() / tile]
         } else {
             let fault_free =
@@ -776,15 +766,15 @@ impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
                 _ => None,
             })
             .collect();
-        let (mut execs, reused): (Vec<BlockExec<Tr, Ck>>, Vec<Option<usize>>) = dst
+        let (mut execs, reused): (Vec<BlockExec<O>>, Vec<Option<usize>>) = dst
             .par_chunks_mut(tile)
             .enumerate()
             .map(|(b, chunk)| match roles[b] {
                 Role::Member { rep }
                     if verify_sorted_checksum(chunk, kernel.expect(b, tile)).is_ok() =>
                 {
-                    let observers = Some((self.observe)());
-                    (BlockExec { executions: 1, observers, ..BlockExec::new() }, Some(rep))
+                    let observer = Some((self.observe)());
+                    (BlockExec { executions: 1, observer, ..BlockExec::new() }, Some(rep))
                 }
                 _ => (self.recover_block(kernel, (idx, name), b, chunk), None),
             })
@@ -829,9 +819,9 @@ impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
         &self,
         name: &str,
         base_profile: KernelProfile,
-        execs: Vec<BlockExec<Tr, Ck>>,
+        execs: Vec<BlockExec<O>>,
         report: &mut RecoveryReport,
-    ) -> Result<Launched<Tr, Ck>, SortError> {
+    ) -> Result<Launched<O>, SortError> {
         let cfg = self.cfg;
         let blocks = execs.len() as u64;
         let mut profile = base_profile;
@@ -845,7 +835,7 @@ impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
         let mut observers = Vec::with_capacity(execs.len());
         for (block, mut ex) in execs.into_iter().enumerate() {
             profile.merge(&ex.profile);
-            observers.extend(ex.observers);
+            observers.extend(ex.observer);
             retry_profile.merge(&ex.retry_profile);
             report.counters.faults_injected += ex.injections.len() as u64;
             report.counters.faults_detected += ex.detections.len() as u64;
@@ -933,7 +923,7 @@ impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
         report: &mut RecoveryReport,
         resume: Option<&SortCheckpoint>,
         ckpt: &mut CkptCtl,
-    ) -> Result<Result<(SortRun<K>, Observers<Tr, Ck>), BlockFailure>, SortError> {
+    ) -> Result<Result<(SortRun<K>, Observers<O>), BlockFailure>, SortError> {
         let (e, u) = (self.cfg.params.e, self.cfg.params.u);
         let tile = u * e;
         let n = resume.map_or(input.len(), |cp| cp.n);
@@ -968,7 +958,7 @@ impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
         }
         let mut dst = vec![K::default(); n_pad];
         let mut kernels: Vec<KernelReport> = Vec::with_capacity(shape.len() - first);
-        let mut observers: Observers<Tr, Ck> = Vec::with_capacity(shape.len() - first);
+        let mut observers: Observers<O> = Vec::with_capacity(shape.len() - first);
 
         for launch in first..shape.len() {
             let (jobs, base_profile, name);
@@ -1051,12 +1041,12 @@ impl<Tr: Tracer + Send, Ck: MemCheck + Send> Exec<'_, Tr, Ck> {
 /// fallback, no hedging. A block whose output fails verification comes
 /// back as [`SortError::UnrecoverableFault`]; a wrong sort is never
 /// returned.
-pub(crate) fn simulate_sort_observed<K: SortKey, Tr: Tracer + Send, Ck: MemCheck + Send>(
+pub(crate) fn simulate_sort_observed<K: SortKey, O: Hooks + Send>(
     input: &[K],
     algo: SortAlgorithm,
     config: &SortConfig,
-    observe: Observe<'_, Tr, Ck>,
-) -> Result<(SortRun<K>, Observers<Tr, Ck>), SortError> {
+    observe: Observe<'_, O>,
+) -> Result<(SortRun<K>, Observers<O>), SortError> {
     let rcfg =
         RobustConfig { max_retries: 0, allow_fallback: false, ..RobustConfig::new(config.clone()) };
     let (robust, observers) =
@@ -1085,7 +1075,7 @@ pub fn simulate_sort_robust<K: SortKey>(
     config: &RobustConfig,
     plan: &FaultPlan,
 ) -> Result<RobustSortRun<K>, SortError> {
-    Ok(drive(input, algo, config, plan, &mut CkptCtl::noop(), &|| (NullTracer, NoCheck))?.0)
+    Ok(drive(input, algo, config, plan, &mut CkptCtl::noop(), &|| ())?.0)
 }
 
 /// [`simulate_sort_robust`] with every block traced: the run plus its
@@ -1102,7 +1092,7 @@ pub fn simulate_sort_robust_traced<K: SortKey>(
     plan: &FaultPlan,
 ) -> Result<(RobustSortRun<K>, SortTrace), SortError> {
     let banks = config.base.device.bank_model();
-    let observe: Observe<'_, BlockTracer, NoCheck> = &|| (BlockTracer::new(banks), NoCheck);
+    let observe: Observe<'_, BlockTracer> = &|| BlockTracer::new(banks);
     let (run, observers) = drive(input, algo, config, plan, &mut CkptCtl::noop(), observe)?;
     let trace = sort_trace(&run.run, observers, run.algorithm, &config.base);
     Ok((run, trace))
@@ -1127,21 +1117,21 @@ pub fn simulate_sort_robust_checkpointed<K: SortKey>(
     policy: CheckpointPolicy,
 ) -> Result<(RobustSortRun<K>, Vec<SortCheckpoint>), SortError> {
     let mut ctl = CkptCtl { policy, taken: Vec::new() };
-    let (run, _) = drive(input, algo, config, plan, &mut ctl, &|| (NullTracer, NoCheck))?;
+    let (run, _) = drive(input, algo, config, plan, &mut ctl, &|| ())?;
     Ok((run, ctl.taken))
 }
 
 /// The driver proper: validate (substituting a launchable configuration
 /// if fallback allows), run the requested pipeline, and fall back to the
 /// Thrust pipeline on a block that stays failed.
-fn drive<K: SortKey, Tr: Tracer + Send, Ck: MemCheck + Send>(
+fn drive<K: SortKey, O: Hooks + Send>(
     input: &[K],
     algo: SortAlgorithm,
     config: &RobustConfig,
     plan: &FaultPlan,
     ckpt: &mut CkptCtl,
-    observe: Observe<'_, Tr, Ck>,
-) -> Result<(RobustSortRun<K>, Observers<Tr, Ck>), SortError> {
+    observe: Observe<'_, O>,
+) -> Result<(RobustSortRun<K>, Observers<O>), SortError> {
     let mut report = RecoveryReport::default();
     let mut cfg = config.base.clone();
     let mut algo_used = algo;
@@ -1251,7 +1241,7 @@ pub fn resume_sort_robust<K: SortKey>(
     validate_sort_config(cfg)?;
 
     let mut report = RecoveryReport::default();
-    let observe: Observe<'_, NullTracer, NoCheck> = &|| (NullTracer, NoCheck);
+    let observe: Observe<'_, ()> = &|| ();
     let mut exec = Exec { cfg, rcfg: config, plan, algo, fallback: false, observe };
     let resumed =
         exec.run_pipeline::<K>(&[], &mut report, Some(checkpoint), &mut CkptCtl::noop())?;

@@ -1,7 +1,7 @@
 //! Device-level fault domains for the cluster layer.
 //!
-//! PR 4's `FaultInjector` corrupts *blocks inside a kernel launch*; this
-//! module models the next blast radius up: a whole simulated device
+//! The `BlockFaults` injector corrupts *blocks inside a kernel launch*;
+//! this module models the next blast radius up: a whole simulated device
 //! crashing (permanently or with a restart after a cooldown) or running
 //! degraded (a latency multiplier on everything it executes). Plans are
 //! seeded and deterministic, like [`cfmerge_gpu_sim::fault::FaultPlan`]:

@@ -842,11 +842,6 @@ impl SortService {
         jobs.into_iter().map(|job| self.execute(job)).collect()
     }
 
-    /// Legacy alias for [`SortService::drain`].
-    pub fn run_all(&mut self) -> Vec<JobOutcome> {
-        self.drain()
-    }
-
     fn breaker_for(&mut self, key: (String, usize, usize)) -> &mut CircuitBreaker {
         if let Some(i) = self.breakers.iter().position(|(k, _)| *k == key) {
             return &mut self.breakers[i].1;
@@ -1234,7 +1229,7 @@ mod tests {
         assert!(!svc.cancel(JobId(999)));
         assert_eq!(svc.pending(), 4);
 
-        let outcomes = svc.run_all();
+        let outcomes = svc.drain();
         assert_eq!(svc.pending(), 0);
         assert_eq!(outcomes.len(), 4);
         assert_eq!(outcomes[0].id, ok_id);

@@ -25,11 +25,8 @@ use crate::gather::layout::CfLayout;
 use crate::gather::schedule::ThreadSplit;
 use crate::sort::key::SortKey;
 use cfmerge_gpu_sim::banks::BankModel;
-use cfmerge_gpu_sim::block::BlockSim;
-use cfmerge_gpu_sim::check::{MemCheck, NoCheck};
-use cfmerge_gpu_sim::fault::{FaultInjector, NoFaults};
+use cfmerge_gpu_sim::block::{BlockSim, Hooks};
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
-use cfmerge_gpu_sim::trace::{NullTracer, Tracer};
 use cfmerge_mergepath::networks::{oets_ops, oets_sort};
 
 /// How threads move `(Aᵢ, Bᵢ)` from shared memory to registers.
@@ -85,29 +82,28 @@ pub fn blocksort_block<K: SortKey>(
         dst_tile,
         global_base,
         count_accesses,
-        NullTracer,
-        NoCheck,
-        NoFaults,
+        (),
     )
     .0
 }
 
-/// The fully generic [`blocksort_block`]: identical execution, observed by a
-/// [`Tracer`] and a [`MemCheck`] checker (e.g. the
-/// [`Sanitizer`](cfmerge_gpu_sim::Sanitizer)) and corrupted by a
-/// [`FaultInjector`] (see [`cfmerge_gpu_sim::fault`]), all three returned
-/// alongside the profile. With [`NullTracer`], [`NoCheck`] and
-/// [`NoFaults`] this *is* [`blocksort_block`]. With an active injector,
-/// scheduled bit-flips, stuck banks, and lane drop-outs corrupt the tile;
-/// corrupted merge-path search results are clamped into geometric bounds
-/// (see `clamped_split`) so corruption always surfaces as wrong output
-/// data — detectable by verification — never as a host-side panic.
+/// The fully generic [`blocksort_block`]: identical execution under
+/// `hooks` (see [`Hooks`]), returned alongside the profile. The hooks may
+/// trace it (a [`BlockTracer`](cfmerge_gpu_sim::BlockTracer)), check it
+/// (a [`Sanitizer`](cfmerge_gpu_sim::Sanitizer)), corrupt it (a
+/// [`BlockFaults`](cfmerge_gpu_sim::BlockFaults)), or pair one observer
+/// with an injector. With `()` this *is* [`blocksort_block`]. Under an
+/// injector, scheduled bit-flips, stuck banks, and lane drop-outs corrupt
+/// the tile; corrupted merge-path search results are clamped into
+/// geometric bounds (see `clamped_split`) so corruption always surfaces
+/// as wrong output data — detectable by verification — never as a
+/// host-side panic.
 ///
 /// # Panics
 /// Same conditions as [`blocksort_block`].
 #[must_use]
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)] // kernel signature mirrors the CUDA launch; loops index parallel register arrays
-pub fn blocksort_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector>(
+pub fn blocksort_block_faulty<K: SortKey, H: Hooks>(
     banks: BankModel,
     u: usize,
     e: usize,
@@ -116,10 +112,8 @@ pub fn blocksort_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultInj
     dst_tile: &mut [K],
     global_base: usize,
     count_accesses: bool,
-    tracer: Tr,
-    checker: Ck,
-    injector: Fi,
-) -> (KernelProfile, Tr, Ck, Fi) {
+    hooks: H,
+) -> (KernelProfile, H) {
     let w = banks.num_banks as usize;
     assert!(
         u.is_multiple_of(w) && u.is_power_of_two(),
@@ -129,8 +123,7 @@ pub fn blocksort_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultInj
     assert_eq!(src_tile.len(), tile);
     assert_eq!(dst_tile.len(), tile);
 
-    let mut block =
-        BlockSim::<K, Tr, Ck, Fi>::with_faults(banks, u, tile, tracer, checker, injector);
+    let mut block = BlockSim::with_hooks(banks, u, tile, hooks);
     block.set_counting(count_accesses);
 
     // 1. Coalesced load.
@@ -249,7 +242,7 @@ pub fn blocksort_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultInj
         }
     });
 
-    block.finish_faulty()
+    block.finish()
 }
 
 fn pair_layout(

@@ -2,11 +2,12 @@
 //!
 //! PR 2 converted `occupancy()`/`kernel_time()` to `Result`; this module
 //! finishes the job for the user-reachable pipeline entry points. A
-//! caller that can react to failure uses [`try_simulate_sort`]
-//! (`crate::sort::pipeline::try_simulate_sort`) and the recovery driver
-//! (`crate::recovery`), which return [`SortError`] instead of panicking;
-//! [`Degradation`] describes the non-fatal compromises the recovery
-//! driver makes (and always reports — never silently).
+//! caller that can react to failure uses
+//! [`try_simulate_sort`](crate::sort::pipeline::try_simulate_sort) and
+//! the recovery driver (`crate::recovery`), which return [`SortError`]
+//! instead of panicking; [`Degradation`] describes the non-fatal
+//! compromises the recovery driver makes (and always reports — never
+//! silently).
 
 use crate::sort::pipeline::{SortAlgorithm, SortConfig};
 use crate::verify::VerifyFailure;

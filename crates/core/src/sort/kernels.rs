@@ -1,6 +1,7 @@
 //! Shared-memory kernel building blocks used by both pipelines.
 //!
-//! Everything here runs *inside* a [`BlockSim`] phase body, against a
+//! Everything here runs *inside* a
+//! [`BlockSim`](cfmerge_gpu_sim::block::BlockSim) phase body, against a
 //! [`LaneCtx`] — the only way to touch memory, so all accounting is
 //! automatic. The two pipelines differ only in which pieces they compose:
 //!
@@ -14,9 +15,7 @@
 use crate::gather::layout::CfLayout;
 use crate::gather::schedule::{GatherSchedule, ThreadSplit};
 use crate::sort::key::SortKey;
-use cfmerge_gpu_sim::block::LaneCtx;
-use cfmerge_gpu_sim::check::MemCheck;
-use cfmerge_gpu_sim::fault::FaultInjector;
+use cfmerge_gpu_sim::block::{Hooks, LaneCtx};
 use cfmerge_mergepath::diagonal::merge_path_by;
 use cfmerge_mergepath::networks::{oets_ops, oets_sort};
 
@@ -123,8 +122,8 @@ pub(crate) fn clamped_split(
 /// `diag` outputs of the pair under `layout`. Charges two shared loads
 /// and a few ALU ops per iteration, exactly as the device code would.
 #[must_use]
-pub fn shared_merge_path<K: SortKey, Ck: MemCheck, Fi: FaultInjector>(
-    lane: &mut LaneCtx<'_, K, Ck, Fi>,
+pub fn shared_merge_path<K: SortKey, H: Hooks>(
+    lane: &mut LaneCtx<'_, K, H>,
     layout: &PairLayout,
     diag: usize,
 ) -> usize {
@@ -145,8 +144,8 @@ pub fn shared_merge_path<K: SortKey, Ck: MemCheck, Fi: FaultInjector>(
 /// head preloads), written to the thread's register array `out`.
 ///
 /// This is the phase the worst-case inputs of Section 4 attack.
-pub fn serial_merge_from_shared<K: SortKey, Ck: MemCheck, Fi: FaultInjector>(
-    lane: &mut LaneCtx<'_, K, Ck, Fi>,
+pub fn serial_merge_from_shared<K: SortKey, H: Hooks>(
+    lane: &mut LaneCtx<'_, K, H>,
     layout: &PairLayout,
     split: ThreadSplit,
     b_begin: usize,
@@ -189,8 +188,8 @@ pub fn serial_merge_from_shared<K: SortKey, Ck: MemCheck, Fi: FaultInjector>(
 /// `pair_tid` is the thread's index *within the pair* (equals `tid` for
 /// whole-block pairs). Requires the shared region to hold the permuted
 /// layout. Writes the merged outputs to `out`.
-pub fn gather_merge_from_shared<K: SortKey, Ck: MemCheck, Fi: FaultInjector>(
-    lane: &mut LaneCtx<'_, K, Ck, Fi>,
+pub fn gather_merge_from_shared<K: SortKey, H: Hooks>(
+    lane: &mut LaneCtx<'_, K, H>,
     base: usize,
     layout: &CfLayout,
     pair_tid: usize,

@@ -19,11 +19,8 @@ use crate::gather::layout::CfLayout;
 use crate::gather::schedule::ThreadSplit;
 use crate::sort::key::SortKey;
 use cfmerge_gpu_sim::banks::BankModel;
-use cfmerge_gpu_sim::block::BlockSim;
-use cfmerge_gpu_sim::check::{MemCheck, NoCheck};
-use cfmerge_gpu_sim::fault::{FaultInjector, NoFaults};
+use cfmerge_gpu_sim::block::{BlockSim, Hooks};
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
-use cfmerge_gpu_sim::trace::{NullTracer, Tracer};
 
 /// One block's work item in a merge pass: absolute element ranges in the
 /// source buffer for its `A` and `B` parts, and the absolute output base.
@@ -72,38 +69,25 @@ pub fn merge_pass_block<K: SortKey>(
     dst_chunk: &mut [K],
     count_accesses: bool,
 ) -> KernelProfile {
-    merge_pass_block_faulty(
-        banks,
-        u,
-        e,
-        strategy,
-        src,
-        job,
-        dst_chunk,
-        count_accesses,
-        NullTracer,
-        NoCheck,
-        NoFaults,
-    )
-    .0
+    merge_pass_block_faulty(banks, u, e, strategy, src, job, dst_chunk, count_accesses, ()).0
 }
 
-/// The fully generic [`merge_pass_block`]: identical execution, observed by a
-/// [`Tracer`] and a [`MemCheck`] checker (e.g. the
-/// [`Sanitizer`](cfmerge_gpu_sim::Sanitizer)) and corrupted by a
-/// [`FaultInjector`] (see [`cfmerge_gpu_sim::fault`]), all three returned
-/// alongside the profile. With [`NullTracer`], [`NoCheck`] and
-/// [`NoFaults`] this *is* [`merge_pass_block`]. With an active injector,
-/// scheduled bit-flips, stuck banks, and lane drop-outs corrupt the
-/// chunk; corrupted merge-path search results are clamped into geometric
-/// bounds so corruption always surfaces as wrong output data — detectable
-/// by verification — never as a host-side panic.
+/// The fully generic [`merge_pass_block`]: identical execution under
+/// `hooks` (see [`Hooks`]), returned alongside the profile. The hooks may
+/// trace it (a [`BlockTracer`](cfmerge_gpu_sim::BlockTracer)), check it
+/// (a [`Sanitizer`](cfmerge_gpu_sim::Sanitizer)), corrupt it (a
+/// [`BlockFaults`](cfmerge_gpu_sim::BlockFaults)), or pair one observer
+/// with an injector. With `()` this *is* [`merge_pass_block`]. Under an
+/// injector, scheduled bit-flips, stuck banks, and lane drop-outs corrupt
+/// the chunk; corrupted merge-path search results are clamped into
+/// geometric bounds so corruption always surfaces as wrong output data —
+/// detectable by verification — never as a host-side panic.
 ///
 /// # Panics
 /// Same conditions as [`merge_pass_block`].
 #[must_use]
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)] // kernel signature mirrors the CUDA launch; loops index parallel register arrays
-pub fn merge_pass_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector>(
+pub fn merge_pass_block_faulty<K: SortKey, H: Hooks>(
     banks: BankModel,
     u: usize,
     e: usize,
@@ -112,10 +96,8 @@ pub fn merge_pass_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultIn
     job: MergeChunkJob,
     dst_chunk: &mut [K],
     count_accesses: bool,
-    tracer: Tr,
-    checker: Ck,
-    injector: Fi,
-) -> (KernelProfile, Tr, Ck, Fi) {
+    hooks: H,
+) -> (KernelProfile, H) {
     let w = banks.num_banks as usize;
     assert!(u.is_multiple_of(w), "u={u} must be a multiple of w={w}");
     let tile = u * e;
@@ -123,8 +105,7 @@ pub fn merge_pass_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultIn
     assert_eq!(dst_chunk.len(), tile);
     let a_len = job.a_len();
 
-    let mut block =
-        BlockSim::<K, Tr, Ck, Fi>::with_faults(banks, u, tile, tracer, checker, injector);
+    let mut block = BlockSim::with_hooks(banks, u, tile, hooks);
     block.set_counting(count_accesses);
 
     let layout = match strategy {
@@ -198,7 +179,7 @@ pub fn merge_pass_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultIn
         }
     });
 
-    block.finish_faulty()
+    block.finish()
 }
 
 #[cfg(test)]

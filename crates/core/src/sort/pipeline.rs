@@ -16,12 +16,12 @@ use super::error::SortError;
 use super::key::SortKey;
 use crate::params::SortParams;
 use crate::recovery::{simulate_sort_observed, Observers};
-use cfmerge_gpu_sim::check::{Finding, NoCheck, Sanitizer};
+use cfmerge_gpu_sim::check::{Finding, Sanitizer};
 use cfmerge_gpu_sim::device::Device;
 use cfmerge_gpu_sim::occupancy::{mergesort_regs_estimate, BlockResources};
 use cfmerge_gpu_sim::profiler::KernelProfile;
 use cfmerge_gpu_sim::timing::{LaunchConfig, TimeBreakdown, TimingModel};
-use cfmerge_gpu_sim::trace::{BlockTracer, KernelTrace, NullTracer, SortTrace};
+use cfmerge_gpu_sim::trace::{BlockTracer, KernelTrace, SortTrace};
 use cfmerge_json::{FromJson, Json, JsonError, ToJson};
 
 /// Which pipeline to run.
@@ -195,7 +195,7 @@ pub fn try_simulate_sort<K: SortKey>(
     algo: SortAlgorithm,
     config: &SortConfig,
 ) -> Result<SortRun<K>, SortError> {
-    Ok(simulate_sort_observed(input, algo, config, &|| (NullTracer, NoCheck))?.0)
+    Ok(simulate_sort_observed(input, algo, config, &|| ())?.0)
 }
 
 fn or_panic<T>(result: Result<T, SortError>) -> T {
@@ -215,9 +215,8 @@ pub fn simulate_sort_traced<K: SortKey>(
     config: &SortConfig,
 ) -> TracedSortRun<K> {
     let banks = config.device.bank_model();
-    let (run, observers) = or_panic(simulate_sort_observed(input, algo, config, &|| {
-        (BlockTracer::new(banks), NoCheck)
-    }));
+    let (run, observers) =
+        or_panic(simulate_sort_observed(input, algo, config, &|| BlockTracer::new(banks)));
     let trace = sort_trace(&run, observers, algo, config);
     TracedSortRun { run, trace }
 }
@@ -225,7 +224,7 @@ pub fn simulate_sort_traced<K: SortKey>(
 /// Assemble the [`SortTrace`] of `run` from its blocks' tracers.
 pub(crate) fn sort_trace<K>(
     run: &SortRun<K>,
-    observers: Observers<BlockTracer, NoCheck>,
+    observers: Observers<BlockTracer>,
     algo: SortAlgorithm,
     config: &SortConfig,
 ) -> SortTrace {
@@ -237,7 +236,7 @@ pub(crate) fn sort_trace<K>(
             name: k.name.clone(),
             grid_blocks: k.blocks,
             seconds: k.time.seconds,
-            blocks: blocks.into_iter().map(|(t, NoCheck)| t).collect(),
+            blocks,
         })
         .collect();
     SortTrace {
@@ -315,12 +314,11 @@ pub fn simulate_sort_checked<K: SortKey>(
     algo: SortAlgorithm,
     config: &SortConfig,
 ) -> CheckedSortRun<K> {
-    let (run, observers) =
-        or_panic(simulate_sort_observed(input, algo, config, &|| (NullTracer, Sanitizer::new())));
+    let (run, observers) = or_panic(simulate_sort_observed(input, algo, config, &Sanitizer::new));
     let mut findings = Vec::new();
     let mut dropped = 0u64;
     for (kernel, blocks) in run.kernels.iter().zip(observers) {
-        for (block, (NullTracer, ck)) in blocks.into_iter().enumerate() {
+        for (block, ck) in blocks.into_iter().enumerate() {
             dropped += ck.dropped;
             findings.extend(ck.into_findings().into_iter().map(|finding| KernelFinding {
                 kernel: kernel.name.clone(),

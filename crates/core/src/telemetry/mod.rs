@@ -17,14 +17,13 @@
 //!   the value, snapshots sort metrics by name, and every number
 //!   round-trips JSON exactly — two runs with the same seed/config
 //!   serialize byte-identically on any platform.
-//! * **Zero-cost when off.** Like [`NullTracer`], telemetry is opt-in:
-//!   the service holds an `Option<MetricsRegistry>` defaulting to
-//!   `None`, simulator metrics derive from the always-on
+//! * **Zero-cost when off.** Like the block engine's null hooks `()`,
+//!   telemetry is opt-in: the service holds an `Option<MetricsRegistry>`
+//!   defaulting to `None`, simulator metrics derive from the always-on
 //!   [`KernelProfile`] after the run, and recording never feeds back
 //!   into modeled time — enabling telemetry changes no output, kernel
 //!   sequence, or modeled second.
 //!
-//! [`NullTracer`]: cfmerge_gpu_sim::trace::NullTracer
 //! [`KernelProfile`]: cfmerge_gpu_sim::profiler::KernelProfile
 
 pub mod histogram;

@@ -2,7 +2,7 @@
 //! modeled time.
 //!
 //! The registry is strictly opt-in, mirroring the simulator's
-//! `NullTracer` philosophy: nothing in the hot paths holds one, the
+//! null-hooks philosophy: nothing in the hot paths holds one, the
 //! resilience service carries an `Option<MetricsRegistry>` that defaults
 //! to `None`, and recording never touches modeled time — a run with
 //! telemetry enabled produces bit-identical outputs, kernels, and

@@ -25,12 +25,241 @@
 //!   not an approximation for them. Lanes that issue fewer accesses are
 //!   treated as predicated off for the trailing rounds.
 
-use crate::banks::{BankModel, RoundCost};
-use crate::check::{MemCheck, NoCheck};
-use crate::fault::{FaultInjector, FaultWord, NoFaults};
+use crate::banks::BankModel;
+use crate::fault::FaultWord;
 use crate::global::sectors_touched;
 use crate::profiler::{KernelProfile, PhaseClass};
-use crate::trace::{GlobalRoundEvent, NullTracer, SharedRoundEvent, Tracer};
+use crate::trace::{GlobalRoundEvent, SharedRoundEvent};
+
+/// The one hook seam of the block engine: everything a tracer, a memory
+/// checker or a fault injector needs to observe or corrupt a block.
+///
+/// Every hook has an inlined no-op default, so an implementor overrides
+/// only what it needs. `()` is the null hooks, a zero-sized type whose
+/// calls compile away: a block built with [`BlockSim::new`] runs exactly
+/// the unhooked engine. `(A, B)` composes two hooks, calling `A` and then
+/// `B` on every hook.
+///
+/// The implementations are [`BlockTracer`](crate::trace::BlockTracer)
+/// (see [`crate::trace`]), [`Sanitizer`](crate::check::Sanitizer) (see
+/// [`crate::check`]) and [`BlockFaults`](crate::fault::BlockFaults) (see
+/// [`crate::fault`]).
+pub trait Hooks {
+    /// Whether [`LaneCtx`] routes every access through
+    /// [`Self::shared_access`] / [`Self::global_access`]. When set, the
+    /// engine's panicking race asserts stand down: the hooks own hazard
+    /// detection and decide whether each access proceeds, so a hazardous
+    /// kernel runs to completion.
+    const CHECKS: bool = false;
+
+    /// Whether these hooks must see every block. The pipeline driver
+    /// shares one block's simulation among blocks of identical order
+    /// pattern only when this is unset, because a shared simulation calls
+    /// no hooks for the blocks that reuse it. The default is `true`, so a
+    /// new implementation sees every block unless it opts out.
+    const OBSERVES: bool = true;
+
+    /// A block simulation starts: `w` lanes per warp, `u` threads, and a
+    /// shared-memory extent of `shared_len` words.
+    #[inline]
+    fn begin_block(&mut self, w: usize, u: usize, shared_len: usize) {
+        let _ = (w, u, shared_len);
+    }
+
+    /// A barrier-delimited phase opens.
+    #[inline]
+    fn phase_begin(&mut self, class: PhaseClass) {
+        let _ = class;
+    }
+
+    /// The phase's closing barrier.
+    #[inline]
+    fn phase_end(&mut self, class: PhaseClass) {
+        let _ = class;
+    }
+
+    /// Warp `warp` starts executing the current phase.
+    #[inline]
+    fn warp_begin(&mut self, warp: usize) {
+        let _ = warp;
+    }
+
+    /// Warp `warp` finished the current phase (divergence checkpoint).
+    #[inline]
+    fn warp_end(&mut self, warp: usize, class: PhaseClass) {
+        let _ = (warp, class);
+    }
+
+    /// One warp shared-memory round was issued and costed.
+    #[inline]
+    fn shared_round(&mut self, ev: &SharedRoundEvent<'_>) {
+        let _ = ev;
+    }
+
+    /// One warp global-memory round was issued and coalesced.
+    #[inline]
+    fn global_round(&mut self, ev: &GlobalRoundEvent) {
+        let _ = ev;
+    }
+
+    /// `ops` scalar ALU operations were charged to the phase (summed over
+    /// all lanes of the block).
+    #[inline]
+    fn alu(&mut self, class: PhaseClass, ops: u64) {
+        let _ = (class, ops);
+    }
+
+    /// Lane `tid` touches shared word `idx` (`store` distinguishes write
+    /// from read). Called only when [`Self::CHECKS`] is set. Return
+    /// `false` to suppress the access (e.g. it is out of bounds);
+    /// suppressed loads yield `T::default()`.
+    #[inline]
+    fn shared_access(&mut self, tid: u32, idx: usize, store: bool) -> bool {
+        let _ = (tid, idx, store);
+        true
+    }
+
+    /// Lane `tid` touches global word `idx` of an array of `len` words.
+    /// Called only when [`Self::CHECKS`] is set. Return `false` to
+    /// suppress the access.
+    #[inline]
+    fn global_access(&mut self, tid: u32, idx: usize, len: usize, store: bool) -> bool {
+        let _ = (tid, idx, len, store);
+        true
+    }
+
+    /// XOR mask applied to the value lane `tid` loads from shared `idx`
+    /// (0 = pristine).
+    #[inline]
+    fn shared_ld_mask(&mut self, tid: u32, idx: usize) -> u64 {
+        let _ = (tid, idx);
+        0
+    }
+
+    /// XOR mask applied to the value lane `tid` stores to shared `idx`.
+    #[inline]
+    fn shared_st_mask(&mut self, tid: u32, idx: usize) -> u64 {
+        let _ = (tid, idx);
+        0
+    }
+
+    /// XOR mask applied to the value lane `tid` stores to global `idx`.
+    #[inline]
+    fn global_st_mask(&mut self, tid: u32, idx: usize) -> u64 {
+        let _ = (tid, idx);
+        0
+    }
+
+    /// Whether lane `tid`'s stores are currently dropped (lane drop-out).
+    /// The access is still issued and costed; the data never commits.
+    #[inline]
+    fn drops_store(&mut self, tid: u32) -> bool {
+        let _ = tid;
+        false
+    }
+}
+
+/// The null hooks: observe nothing, corrupt nothing, compile away.
+impl Hooks for () {
+    const OBSERVES: bool = false;
+}
+
+/// Two hooks in sequence: `A` then `B` on every hook, never
+/// short-circuiting (both may record on every call). Accesses proceed
+/// only if both allow them, masks combine by XOR, a store drops if
+/// either drops it, and each const is set if either side sets it.
+impl<A: Hooks, B: Hooks> Hooks for (A, B) {
+    const CHECKS: bool = A::CHECKS || B::CHECKS;
+    const OBSERVES: bool = A::OBSERVES || B::OBSERVES;
+
+    #[inline]
+    fn begin_block(&mut self, w: usize, u: usize, shared_len: usize) {
+        self.0.begin_block(w, u, shared_len);
+        self.1.begin_block(w, u, shared_len);
+    }
+
+    #[inline]
+    fn phase_begin(&mut self, class: PhaseClass) {
+        self.0.phase_begin(class);
+        self.1.phase_begin(class);
+    }
+
+    #[inline]
+    fn phase_end(&mut self, class: PhaseClass) {
+        self.0.phase_end(class);
+        self.1.phase_end(class);
+    }
+
+    #[inline]
+    fn warp_begin(&mut self, warp: usize) {
+        self.0.warp_begin(warp);
+        self.1.warp_begin(warp);
+    }
+
+    #[inline]
+    fn warp_end(&mut self, warp: usize, class: PhaseClass) {
+        self.0.warp_end(warp, class);
+        self.1.warp_end(warp, class);
+    }
+
+    #[inline]
+    fn shared_round(&mut self, ev: &SharedRoundEvent<'_>) {
+        self.0.shared_round(ev);
+        self.1.shared_round(ev);
+    }
+
+    #[inline]
+    fn global_round(&mut self, ev: &GlobalRoundEvent) {
+        self.0.global_round(ev);
+        self.1.global_round(ev);
+    }
+
+    #[inline]
+    fn alu(&mut self, class: PhaseClass, ops: u64) {
+        self.0.alu(class, ops);
+        self.1.alu(class, ops);
+    }
+
+    #[inline]
+    fn shared_access(&mut self, tid: u32, idx: usize, store: bool) -> bool {
+        self.0.shared_access(tid, idx, store) & self.1.shared_access(tid, idx, store)
+    }
+
+    #[inline]
+    fn global_access(&mut self, tid: u32, idx: usize, len: usize, store: bool) -> bool {
+        self.0.global_access(tid, idx, len, store) & self.1.global_access(tid, idx, len, store)
+    }
+
+    #[inline]
+    fn shared_ld_mask(&mut self, tid: u32, idx: usize) -> u64 {
+        self.0.shared_ld_mask(tid, idx) ^ self.1.shared_ld_mask(tid, idx)
+    }
+
+    #[inline]
+    fn shared_st_mask(&mut self, tid: u32, idx: usize) -> u64 {
+        self.0.shared_st_mask(tid, idx) ^ self.1.shared_st_mask(tid, idx)
+    }
+
+    #[inline]
+    fn global_st_mask(&mut self, tid: u32, idx: usize) -> u64 {
+        self.0.global_st_mask(tid, idx) ^ self.1.global_st_mask(tid, idx)
+    }
+
+    #[inline]
+    fn drops_store(&mut self, tid: u32) -> bool {
+        self.0.drops_store(tid) | self.1.drops_store(tid)
+    }
+}
+
+/// XOR `mask` into `v`'s bit pattern; a null mask folds to `v`.
+#[inline]
+fn flip<T: FaultWord>(v: T, mask: u64) -> T {
+    if mask == 0 {
+        v
+    } else {
+        T::from_fault_bits(v.to_fault_bits() ^ mask)
+    }
+}
 
 /// One recorded shared-memory access.
 #[derive(Debug, Clone, Copy)]
@@ -46,47 +275,10 @@ struct GlobalAcc {
     store: bool,
 }
 
-/// Per-round detail kept when round logging is enabled (figure harness).
-#[derive(Debug, Clone)]
-pub struct LoggedRound {
-    /// `(lane_in_warp, address)` pairs for loads in this round.
-    pub loads: Vec<(u32, u32)>,
-    /// `(lane_in_warp, address)` pairs for stores in this round.
-    pub stores: Vec<(u32, u32)>,
-    /// Cost of the load part (zero if no loads).
-    pub ld_cost: RoundCost,
-    /// Cost of the store part.
-    pub st_cost: RoundCost,
-}
-
-/// Round-by-round log of one warp in one phase.
-#[derive(Debug, Clone)]
-pub struct WarpPhaseLog {
-    /// Phase the rounds belong to.
-    pub class: PhaseClass,
-    /// Warp index within the block.
-    pub warp: usize,
-    /// The rounds, in execution order.
-    pub rounds: Vec<LoggedRound>,
-}
-
-/// Simulated thread block: `u` threads over a shared-memory array of `T`.
-///
-/// The second type parameter is the [`Tracer`] observing execution; the
-/// default [`NullTracer`] compiles its hooks away entirely, so untraced
-/// blocks are identical to the pre-tracing engine. The third is the
-/// [`MemCheck`] hazard checker (see [`crate::check`]); the default
-/// [`NoCheck`] likewise vanishes at compile time, leaving the built-in
-/// panic-on-race asserts in force. The fourth is the [`FaultInjector`]
-/// corrupting execution (see [`crate::fault`]); the default [`NoFaults`]
-/// also compiles away, so an un-injected block is bit-identical to the
-/// pre-fault engine.
-pub struct BlockSim<
-    T: Copy,
-    Tr: Tracer = NullTracer,
-    Ck: MemCheck = NoCheck,
-    Fi: FaultInjector = NoFaults,
-> {
+/// Simulated thread block: `u` threads over a shared-memory array of `T`,
+/// observed and corrupted by its [`Hooks`] `H`. The default `()` compiles
+/// every hook away, leaving the built-in panic-on-race asserts in force.
+pub struct BlockSim<T: Copy + Default + FaultWord, H: Hooks = ()> {
     banks: BankModel,
     /// Threads per block (`u` in the paper; must be a multiple of `w`).
     u: usize,
@@ -97,108 +289,36 @@ pub struct BlockSim<
     /// Accumulated counters for this block.
     pub profile: KernelProfile,
     counting: bool,
-    log_rounds: bool,
-    /// Per-warp round logs of all phases run since construction (only
-    /// populated when round logging is on).
-    pub logs: Vec<WarpPhaseLog>,
-    tracer: Tr,
-    checker: Ck,
-    injector: Fi,
-    /// XOR-corruption applier: identity unless built via [`Self::with_faults`],
-    /// which keeps `T: Copy + Default` users free of any bits-conversion
-    /// bound while letting faulted blocks flip bits in any [`FaultWord`].
-    flip: fn(T, u64) -> T,
+    hooks: H,
     // Reusable scratch (one slot per lane of a warp).
     shared_traces: Vec<Vec<SharedAcc>>,
     global_traces: Vec<Vec<GlobalAcc>>,
 }
 
-impl<T: Copy + Default> BlockSim<T> {
-    /// New untraced block: `u` threads, shared memory of `shared_len`
+impl<T: Copy + Default + FaultWord> BlockSim<T> {
+    /// New unhooked block: `u` threads, shared memory of `shared_len`
     /// words, warp width / bank count from `banks`.
     ///
     /// # Panics
     /// Panics if `u` is zero or not a multiple of the warp width.
     #[must_use]
     pub fn new(banks: BankModel, u: usize, shared_len: usize) -> Self {
-        Self::with_tracer(banks, u, shared_len, NullTracer)
+        Self::with_hooks(banks, u, shared_len, ())
     }
 }
 
-impl<T: Copy + Default, Tr: Tracer> BlockSim<T, Tr> {
-    /// New block observed by `tracer` (see [`crate::trace`]).
+impl<T: Copy + Default + FaultWord, H: Hooks> BlockSim<T, H> {
+    /// New block observed and corrupted by `hooks`. Hooks that set
+    /// [`Hooks::CHECKS`] replace the engine's panicking race asserts:
+    /// hazards become their findings and the kernel runs to completion.
     ///
     /// # Panics
     /// Panics if `u` is zero or not a multiple of the warp width.
     #[must_use]
-    pub fn with_tracer(banks: BankModel, u: usize, shared_len: usize, tracer: Tr) -> Self {
-        Self::with_checker(banks, u, shared_len, tracer, NoCheck)
-    }
-}
-
-impl<T: Copy + Default, Tr: Tracer, Ck: MemCheck> BlockSim<T, Tr, Ck> {
-    /// New block observed by `tracer` and audited by `checker` (see
-    /// [`crate::check`]). An *active* checker replaces the engine's
-    /// panicking race asserts: hazards become recorded findings and the
-    /// kernel runs to completion.
-    ///
-    /// # Panics
-    /// Panics if `u` is zero or not a multiple of the warp width.
-    #[must_use]
-    pub fn with_checker(
-        banks: BankModel,
-        u: usize,
-        shared_len: usize,
-        tracer: Tr,
-        checker: Ck,
-    ) -> Self {
-        Self::with_hooks(banks, u, shared_len, tracer, checker, NoFaults, |v, _| v)
-    }
-}
-
-impl<T: Copy + Default + FaultWord, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector>
-    BlockSim<T, Tr, Ck, Fi>
-{
-    /// New block corrupted by `injector` (see [`crate::fault`]), observed
-    /// by `tracer` and audited by `checker`. Requires `T: FaultWord` so
-    /// the injector's XOR masks can be applied to stored/loaded values —
-    /// the only constructor with that bound.
-    ///
-    /// # Panics
-    /// Panics if `u` is zero or not a multiple of the warp width.
-    #[must_use]
-    pub fn with_faults(
-        banks: BankModel,
-        u: usize,
-        shared_len: usize,
-        tracer: Tr,
-        checker: Ck,
-        injector: Fi,
-    ) -> Self {
-        Self::with_hooks(banks, u, shared_len, tracer, checker, injector, |v, m| {
-            if m == 0 {
-                v
-            } else {
-                T::from_fault_bits(v.to_fault_bits() ^ m)
-            }
-        })
-    }
-}
-
-impl<T: Copy + Default, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, Fi> {
-    fn with_hooks(
-        banks: BankModel,
-        u: usize,
-        shared_len: usize,
-        tracer: Tr,
-        mut checker: Ck,
-        mut injector: Fi,
-        flip: fn(T, u64) -> T,
-    ) -> Self {
+    pub fn with_hooks(banks: BankModel, u: usize, shared_len: usize, mut hooks: H) -> Self {
         let w = banks.num_banks as usize;
         assert!(u > 0 && u.is_multiple_of(w), "u={u} must be a positive multiple of w={w}");
-        checker.begin_block(w, u, shared_len);
-        injector.begin_block(w, u, shared_len);
+        hooks.begin_block(w, u, shared_len);
         Self {
             banks,
             u,
@@ -208,73 +328,23 @@ impl<T: Copy + Default, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T,
             epoch: 0,
             profile: KernelProfile::new(),
             counting: true,
-            log_rounds: false,
-            logs: Vec::new(),
-            tracer,
-            checker,
-            injector,
-            flip,
+            hooks,
             shared_traces: vec![Vec::new(); w],
             global_traces: vec![Vec::new(); w],
         }
     }
-}
 
-impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, Fi> {
-    /// The tracer observing this block.
+    /// The hooks attached to this block.
     #[must_use]
-    pub fn tracer(&self) -> &Tr {
-        &self.tracer
+    pub fn hooks(&self) -> &H {
+        &self.hooks
     }
 
-    /// Consume the block and return its tracer (for recorders).
+    /// Consume the block, returning its accumulated profile and hooks —
+    /// the pair a kernel hands back to its launcher.
     #[must_use]
-    pub fn into_tracer(self) -> Tr {
-        self.tracer
-    }
-
-    /// The checker auditing this block.
-    #[must_use]
-    pub fn checker(&self) -> &Ck {
-        &self.checker
-    }
-
-    /// Consume the block and return its checker (for its findings).
-    #[must_use]
-    pub fn into_checker(self) -> Ck {
-        self.checker
-    }
-
-    /// The fault injector corrupting this block.
-    #[must_use]
-    pub fn injector(&self) -> &Fi {
-        &self.injector
-    }
-
-    /// Consume the block and return its injector (for forensic records).
-    #[must_use]
-    pub fn into_injector(self) -> Fi {
-        self.injector
-    }
-
-    /// Consume the block, returning its accumulated profile and tracer —
-    /// the pair a traced kernel hands back to its launcher.
-    #[must_use]
-    pub fn finish(self) -> (KernelProfile, Tr) {
-        (self.profile, self.tracer)
-    }
-
-    /// Consume the block, returning profile, tracer, and checker.
-    #[must_use]
-    pub fn finish_checked(self) -> (KernelProfile, Tr, Ck) {
-        (self.profile, self.tracer, self.checker)
-    }
-
-    /// Consume the block, returning profile, tracer, checker, and
-    /// injector — what a fault-injected kernel hands its recovery driver.
-    #[must_use]
-    pub fn finish_faulty(self) -> (KernelProfile, Tr, Ck, Fi) {
-        (self.profile, self.tracer, self.checker, self.injector)
+    pub fn finish(self) -> (KernelProfile, H) {
+        (self.profile, self.hooks)
     }
 
     /// Warp width `w`.
@@ -313,30 +383,21 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
         self.counting = on;
     }
 
-    /// Enable per-round logging (used by the figure harness; costly).
-    pub fn set_round_logging(&mut self, on: bool) {
-        self.log_rounds = on;
-    }
-
     /// Run one barrier-delimited phase. `body(tid, lane)` is invoked once
     /// per thread; all its shared/global accesses are recorded and costed
     /// under `class`.
     pub fn phase<F>(&mut self, class: PhaseClass, mut body: F)
     where
-        F: FnMut(usize, &mut LaneCtx<'_, T, Ck, Fi>),
+        F: FnMut(usize, &mut LaneCtx<'_, T, H>),
     {
         self.epoch = self.epoch.wrapping_add(1);
-        self.tracer.phase_begin(class);
-        self.checker.phase_begin(class);
-        if Fi::ACTIVE {
-            self.injector.phase_begin(class);
-        }
+        self.hooks.phase_begin(class);
         let w = self.warp_width();
         let warps = self.warps();
         let mut alu_total = 0u64;
 
         for warp in 0..warps {
-            self.checker.warp_begin(warp);
+            self.hooks.warp_begin(warp);
             for t in &mut self.shared_traces {
                 t.clear();
             }
@@ -357,28 +418,22 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
                         shared_trace: &mut self.shared_traces[lane],
                         global_trace: &mut self.global_traces[lane],
                         alu: &mut alu,
-                        checker: &mut self.checker,
-                        injector: &mut self.injector,
-                        flip: self.flip,
+                        hooks: &mut self.hooks,
                     };
                     body(tid, &mut ctx);
                 }
                 alu_total += alu;
             }
-            self.checker.warp_end(warp, class);
+            self.hooks.warp_end(warp, class);
             if self.counting {
                 self.account_warp(class, warp);
             }
         }
         self.profile.phase_mut(class).alu_ops += alu_total;
         if alu_total > 0 {
-            self.tracer.alu(class, alu_total);
+            self.hooks.alu(class, alu_total);
         }
-        self.tracer.phase_end(class);
-        self.checker.phase_end(class);
-        if Fi::ACTIVE {
-            self.injector.phase_end();
-        }
+        self.hooks.phase_end(class);
     }
 
     /// Convenience: run a phase with no memory side effects, charging only
@@ -386,53 +441,32 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
     pub fn alu_phase(&mut self, class: PhaseClass, ops_per_thread: u64) {
         let ops = ops_per_thread * self.u as u64;
         self.profile.phase_mut(class).alu_ops += ops;
-        self.tracer.phase_begin(class);
-        self.checker.phase_begin(class);
-        if Fi::ACTIVE {
-            self.injector.phase_begin(class);
-        }
-        self.tracer.alu(class, ops);
-        self.tracer.phase_end(class);
-        self.checker.phase_end(class);
-        if Fi::ACTIVE {
-            self.injector.phase_end();
-        }
+        self.hooks.phase_begin(class);
+        self.hooks.alu(class, ops);
+        self.hooks.phase_end(class);
     }
 
     fn account_warp(&mut self, class: PhaseClass, warp: usize) {
         let w = self.warp_width();
         // --- shared memory rounds ---
         let max_len = self.shared_traces.iter().map(Vec::len).max().unwrap_or(0);
-        let mut log_rounds: Vec<LoggedRound> = Vec::new();
         let mut ld_buf: Vec<u32> = Vec::with_capacity(w);
         let mut st_buf: Vec<u32> = Vec::with_capacity(w);
-        let mut ld_lanes: Vec<(u32, u32)> = Vec::new();
-        let mut st_lanes: Vec<(u32, u32)> = Vec::new();
         for r in 0..max_len {
             ld_buf.clear();
             st_buf.clear();
-            if self.log_rounds {
-                ld_lanes.clear();
-                st_lanes.clear();
-            }
-            for (lane, trace) in self.shared_traces.iter().enumerate() {
+            for trace in &self.shared_traces {
                 if let Some(acc) = trace.get(r) {
                     if acc.store {
                         st_buf.push(acc.addr);
-                        if self.log_rounds {
-                            st_lanes.push((lane as u32, acc.addr));
-                        }
                     } else {
                         ld_buf.push(acc.addr);
-                        if self.log_rounds {
-                            ld_lanes.push((lane as u32, acc.addr));
-                        }
                     }
                 }
             }
             let ld_cost = self.banks.round_cost(&ld_buf);
             let st_cost = self.banks.round_cost(&st_buf);
-            self.tracer.shared_round(&SharedRoundEvent {
+            self.hooks.shared_round(&SharedRoundEvent {
                 class,
                 warp,
                 round: r,
@@ -453,17 +487,6 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
                 c.shared_st_requests += 1;
                 c.shared_st_transactions += u64::from(st_cost.transactions);
             }
-            if self.log_rounds {
-                log_rounds.push(LoggedRound {
-                    loads: ld_lanes.clone(),
-                    stores: st_lanes.clone(),
-                    ld_cost,
-                    st_cost,
-                });
-            }
-        }
-        if self.log_rounds && !log_rounds.is_empty() {
-            self.logs.push(WarpPhaseLog { class, warp, rounds: log_rounds });
         }
 
         // --- global memory rounds ---
@@ -493,7 +516,7 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
                 c.global_st_requests += 1;
                 c.global_st_sectors += st_sectors;
             }
-            self.tracer.global_round(&GlobalRoundEvent {
+            self.hooks.global_round(&GlobalRoundEvent {
                 class,
                 warp,
                 round: r,
@@ -509,17 +532,16 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
 /// Per-lane handle passed to phase bodies: the only way kernel code can
 /// touch memory, so every access is recorded.
 ///
-/// With an *active* [`MemCheck`] attached, every access is routed through
-/// the checker, which may suppress it (out-of-bounds accesses become
-/// findings instead of panics; suppressed loads yield `T::default()`),
-/// and the built-in panicking race asserts stand down in favor of the
-/// checker's shadow-memory race detection.
+/// With hooks that set [`Hooks::CHECKS`], every access is routed through
+/// them and they may suppress it (out-of-bounds accesses become findings
+/// instead of panics; suppressed loads yield `T::default()`), and the
+/// built-in panicking race asserts stand down in favor of the hooks'
+/// own race detection.
 ///
-/// With an *active* [`FaultInjector`] attached, loads and stores may be
-/// corrupted (XOR masks) or dropped (lane drop-outs); the traffic is
-/// recorded and costed either way — on real hardware a faulted store
-/// still occupies its transaction.
-pub struct LaneCtx<'a, T: Copy, Ck: MemCheck = NoCheck, Fi: FaultInjector = NoFaults> {
+/// The hooks' masks and drop-outs may corrupt loads and stores; the
+/// traffic is recorded and costed either way — on real hardware a
+/// faulted store still occupies its transaction.
+pub struct LaneCtx<'a, T, H: Hooks = ()> {
     shared: &'a mut [T],
     write_epoch: &'a mut [u32],
     write_lane: &'a mut [u32],
@@ -529,12 +551,10 @@ pub struct LaneCtx<'a, T: Copy, Ck: MemCheck = NoCheck, Fi: FaultInjector = NoFa
     shared_trace: &'a mut Vec<SharedAcc>,
     global_trace: &'a mut Vec<GlobalAcc>,
     alu: &'a mut u64,
-    checker: &'a mut Ck,
-    injector: &'a mut Fi,
-    flip: fn(T, u64) -> T,
+    hooks: &'a mut H,
 }
 
-impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> {
+impl<T: Copy + Default + FaultWord, H: Hooks> LaneCtx<'_, T, H> {
     /// This thread's id within the block.
     #[must_use]
     pub fn tid(&self) -> usize {
@@ -544,14 +564,14 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
     /// Shared-memory load.
     ///
     /// # Panics
-    /// Without an active checker, panics if the word was written by a
-    /// *different* lane in the same phase (a missing-barrier race the
+    /// Unless the hooks check accesses, panics if the word was written by
+    /// a *different* lane in the same phase (a missing-barrier race the
     /// hardware would not tolerate either), or on out-of-bounds access.
-    /// With one, hazards are recorded as findings instead.
+    /// With checking hooks, hazards are recorded as findings instead.
     #[must_use]
     pub fn ld(&mut self, idx: usize) -> T {
-        if Ck::ACTIVE {
-            if !self.checker.shared_access(self.tid, idx, false) {
+        if H::CHECKS {
+            if !self.hooks.shared_access(self.tid, idx, false) {
                 return T::default();
             }
         } else {
@@ -566,21 +586,17 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
         if self.counting {
             self.shared_trace.push(SharedAcc { addr: idx as u32, store: false });
         }
-        if Fi::ACTIVE {
-            let mask = self.injector.shared_ld_mask(self.tid, idx);
-            return (self.flip)(self.shared[idx], mask);
-        }
-        self.shared[idx]
+        flip(self.shared[idx], self.hooks.shared_ld_mask(self.tid, idx))
     }
 
     /// Shared-memory store.
     ///
     /// # Panics
-    /// Without an active checker, panics if another lane already wrote
-    /// this word in the same phase.
+    /// Unless the hooks check accesses, panics if another lane already
+    /// wrote this word in the same phase.
     pub fn st(&mut self, idx: usize, v: T) {
-        if Ck::ACTIVE {
-            if !self.checker.shared_access(self.tid, idx, true) {
+        if H::CHECKS {
+            if !self.hooks.shared_access(self.tid, idx, true) {
                 return;
             }
         } else {
@@ -597,22 +613,17 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
         if self.counting {
             self.shared_trace.push(SharedAcc { addr: idx as u32, store: true });
         }
-        if Fi::ACTIVE {
-            if self.injector.drops_store(self.tid) {
-                return; // lane drop-out: traffic costed, data never commits
-            }
-            let mask = self.injector.shared_st_mask(self.tid, idx);
-            self.shared[idx] = (self.flip)(v, mask);
-            return;
+        if self.hooks.drops_store(self.tid) {
+            return; // lane drop-out: traffic costed, data never commits
         }
-        self.shared[idx] = v;
+        self.shared[idx] = flip(v, self.hooks.shared_st_mask(self.tid, idx));
     }
 
     /// Global-memory load from a caller-provided array. The element index
     /// `idx` is recorded for coalescing accounting.
     #[must_use]
     pub fn ld_global(&mut self, data: &[T], idx: usize) -> T {
-        if Ck::ACTIVE && !self.checker.global_access(self.tid, idx, data.len(), false) {
+        if H::CHECKS && !self.hooks.global_access(self.tid, idx, data.len(), false) {
             return T::default();
         }
         if self.counting {
@@ -623,31 +634,26 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
 
     /// Global-memory store into a caller-provided array.
     pub fn st_global(&mut self, data: &mut [T], idx: usize, v: T) {
-        if Ck::ACTIVE && !self.checker.global_access(self.tid, idx, data.len(), true) {
+        if H::CHECKS && !self.hooks.global_access(self.tid, idx, data.len(), true) {
             return;
         }
         if self.counting {
             self.global_trace.push(GlobalAcc { idx: idx as u64, store: true });
         }
-        if Fi::ACTIVE {
-            if self.injector.drops_store(self.tid) {
-                return;
-            }
-            let mask = self.injector.global_st_mask(self.tid, idx);
-            data[idx] = (self.flip)(v, mask);
+        if self.hooks.drops_store(self.tid) {
             return;
         }
-        data[idx] = v;
+        data[idx] = flip(v, self.hooks.global_st_mask(self.tid, idx));
     }
 
     /// Record the *traffic* of a global load at `idx` without moving
     /// data — for kernels that stage their reads/writes outside the
     /// engine (e.g. scatter kernels whose output buffer cannot be
     /// mutably shared across concurrently simulated blocks). No bounds
-    /// are known here, so a checker only counts the access.
+    /// are known here, so checking hooks only count the access.
     pub fn mark_global_ld(&mut self, idx: usize) {
-        if Ck::ACTIVE {
-            let _ = self.checker.global_access(self.tid, idx, usize::MAX, false);
+        if H::CHECKS {
+            let _ = self.hooks.global_access(self.tid, idx, usize::MAX, false);
         }
         if self.counting {
             self.global_trace.push(GlobalAcc { idx: idx as u64, store: false });
@@ -656,34 +662,29 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
 
     /// Record the traffic of a global store at `idx` without writing.
     pub fn mark_global_st(&mut self, idx: usize) {
-        if Ck::ACTIVE {
-            let _ = self.checker.global_access(self.tid, idx, usize::MAX, true);
+        if H::CHECKS {
+            let _ = self.hooks.global_access(self.tid, idx, usize::MAX, true);
         }
         if self.counting {
             self.global_trace.push(GlobalAcc { idx: idx as u64, store: true });
         }
     }
 
-    /// Whether this lane's stores are currently dropped by the fault
-    /// injector. Kernels that commit their output *outside* the engine
-    /// (the [`Self::mark_global_st`] pattern) must consult this
-    /// themselves — `st`/`st_global` handle it automatically.
+    /// Whether this lane's stores are currently dropped by the hooks.
+    /// Kernels that commit their output *outside* the engine (the
+    /// [`Self::mark_global_st`] pattern) must consult this themselves —
+    /// `st`/`st_global` handle it automatically.
     pub fn store_dropped(&mut self) -> bool {
-        Fi::ACTIVE && self.injector.drops_store(self.tid)
+        self.hooks.drops_store(self.tid)
     }
 
-    /// Apply the injector's global-store corruption to `v` destined for
+    /// Apply the hooks' global-store corruption to `v` destined for
     /// element `idx` — the data-path companion to
     /// [`Self::mark_global_st`] for kernels staging writes outside the
-    /// engine. Identity when no injector is attached.
+    /// engine. Identity under hooks that corrupt nothing.
     #[must_use]
     pub fn corrupt_global_st(&mut self, idx: usize, v: T) -> T {
-        if Fi::ACTIVE {
-            let mask = self.injector.global_st_mask(self.tid, idx);
-            (self.flip)(v, mask)
-        } else {
-            v
-        }
+        flip(v, self.hooks.global_st_mask(self.tid, idx))
     }
 
     /// Charge `n` scalar ALU operations to this lane.
@@ -852,20 +853,6 @@ mod tests {
     }
 
     #[test]
-    fn round_log_captures_addresses() {
-        let mut b = block(4, 4, 16);
-        b.set_round_logging(true);
-        b.phase(PhaseClass::Gather, |tid, lane| {
-            let _ = lane.ld(tid);
-        });
-        assert_eq!(b.logs.len(), 1);
-        let log = &b.logs[0];
-        assert_eq!(log.rounds.len(), 1);
-        assert_eq!(log.rounds[0].loads.len(), 4);
-        assert_eq!(log.rounds[0].ld_cost.transactions, 1);
-    }
-
-    #[test]
     fn alu_phase_charges_ops() {
         let mut b = block(8, 8, 16);
         b.alu_phase(PhaseClass::RegisterOps, 10);
@@ -878,8 +865,8 @@ mod tests {
         let _ = block(10, 8, 16);
     }
 
-    fn checked_block(u: usize, w: u32, len: usize) -> BlockSim<u32, NullTracer, Sanitizer> {
-        BlockSim::with_checker(BankModel::new(w), u, len, NullTracer, Sanitizer::new())
+    fn checked_block(u: usize, w: u32, len: usize) -> BlockSim<u32, Sanitizer> {
+        BlockSim::with_hooks(BankModel::new(w), u, len, Sanitizer::new())
     }
 
     use crate::check::{Hazard, Sanitizer};
@@ -890,7 +877,7 @@ mod tests {
         b.phase(PhaseClass::Other, |tid, lane| {
             lane.st(5, tid as u32); // all lanes store word 5
         });
-        let ck = b.into_checker();
+        let (_, ck) = b.finish();
         assert!(!ck.is_clean());
         assert!(
             ck.findings().iter().any(|f| matches!(f.hazard, Hazard::WriteWriteRace { .. })),
@@ -909,7 +896,7 @@ mod tests {
                 assert_eq!(v, 0, "suppressed OOB load yields the default value");
             }
         });
-        let ck = b.into_checker();
+        let (_, ck) = b.finish();
         let oob: Vec<_> = ck
             .findings()
             .iter()
@@ -932,6 +919,57 @@ mod tests {
                 let _ = lane.ld(r * 8 + (tid + 1) % 8);
             }
         });
-        assert!(b.checker().is_clean(), "{}", b.checker().report());
+        assert!(b.hooks().is_clean(), "{}", b.hooks().report());
+    }
+
+    use crate::fault::{FaultKind, FaultPlan, FaultSite, Persistence};
+    use crate::trace::BlockTracer;
+
+    /// One conflicted store round then one conflicted load round; returns
+    /// the hooks and the final shared memory.
+    fn strided_kernel<H: Hooks>(hooks: H) -> (H, Vec<u32>) {
+        let mut b = BlockSim::<u32, H>::with_hooks(BankModel::new(8), 8, 64, hooks);
+        b.phase(PhaseClass::LoadTile, |tid, lane| lane.st(tid * 8, tid as u32 + 1));
+        b.phase(PhaseClass::Merge, |tid, lane| {
+            let _ = lane.ld(tid * 8);
+        });
+        let shared = b.shared().to_vec();
+        (b.finish().1, shared)
+    }
+
+    #[test]
+    fn tracer_paired_with_faults_matches_each_alone() {
+        let banks = BankModel::new(8);
+        let plan = FaultPlan::from_sites(vec![FaultSite {
+            kernel: 0,
+            block: 0,
+            phase: 1,
+            kind: FaultKind::SharedBitFlip { bit: 4 },
+            persistence: Persistence::Transient,
+        }]);
+        let faults = || plan.block_faults(0, 0, 0, false);
+        let ((tracer, injector), shared) = strided_kernel((BlockTracer::new(banks), faults()));
+        let ((traced_alone, ()), clean) = strided_kernel((BlockTracer::new(banks), ()));
+        let (injected_alone, corrupted) = strided_kernel(faults());
+        assert_eq!(tracer, traced_alone);
+        assert_eq!(injector.records().len(), 1, "the armed flip fires once");
+        assert_eq!(injector.records(), injected_alone.records());
+        assert_eq!(shared, corrupted);
+        assert_ne!(shared, clean, "the flip must corrupt shared memory");
+    }
+
+    /// Every lane stores the same word in one phase: a write-write race.
+    fn racy_kernel<H: Hooks>(hooks: H) -> H {
+        let mut b = BlockSim::<u32, H>::with_hooks(BankModel::new(8), 8, 32, hooks);
+        b.phase(PhaseClass::Other, |tid, lane| lane.st(5, tid as u32));
+        b.finish().1
+    }
+
+    #[test]
+    fn tracer_paired_with_sanitizer_finds_what_sanitizer_finds() {
+        let (_, paired) = racy_kernel((BlockTracer::new(BankModel::new(8)), Sanitizer::new()));
+        let alone = racy_kernel(Sanitizer::new());
+        assert!(!alone.is_clean());
+        assert_eq!(paired.findings(), alone.findings());
     }
 }

@@ -4,9 +4,9 @@
 //! Two cooperating layers examine kernels from opposite directions:
 //!
 //! * **Dynamic sanitizer** ([`Sanitizer`]): shadow memory woven into
-//!   [`BlockSim`](crate::BlockSim) behind the zero-cost [`MemCheck`] hook
-//!   (the same pattern as [`Tracer`](crate::Tracer)/
-//!   [`NullTracer`](crate::NullTracer)). It watches one concrete execution
+//!   [`BlockSim`](crate::BlockSim) through its [`Hooks`](crate::Hooks),
+//!   with [`Hooks::CHECKS`](crate::Hooks::CHECKS) set so every access is
+//!   routed through it. It watches one concrete execution
 //!   and flags inter-lane races between barriers, out-of-bounds and
 //!   uninitialized shared reads, and lock-step divergence — with forensic
 //!   reports naming phase, warp, lanes, and addresses.
@@ -17,9 +17,9 @@
 //!   for **all** inputs, lane values, and rounds — not just the inputs a
 //!   profiler happened to see.
 //!
-//! The default checker is [`NoCheck`], a zero-sized type whose hooks are
-//! empty `#[inline]` bodies: untraced, unchecked simulations compile to
-//! exactly the code they ran before this module existed.
+//! A block's default hooks are `()`, a zero-sized type whose hooks are
+//! empty `#[inline]` bodies: unchecked simulations compile to exactly the
+//! code they ran before this module existed.
 
 mod affine;
 mod lint;
@@ -32,76 +32,3 @@ pub use lint::{lint_phases, Access, LintFinding, PhaseIr};
 pub use prover::{cross_validate, cross_validate_on, prove, prove_on, Certificate, Verdict};
 pub use sanitizer::{Finding, Hazard, Sanitizer};
 pub use shape::BankShape;
-
-use crate::profiler::PhaseClass;
-
-/// Observation hooks for a dynamic memory checker attached to a
-/// [`BlockSim`](crate::BlockSim).
-///
-/// All hooks default to empty inlined bodies and `ACTIVE = false`, so the
-/// no-op implementation ([`NoCheck`]) vanishes entirely at compile time.
-/// When `ACTIVE` is `true`, [`LaneCtx`](crate::LaneCtx) routes every
-/// shared/global access through the checker *instead of* its built-in
-/// panicking race asserts: the checker owns hazard detection and decides
-/// (via the `bool` return) whether the access proceeds, so hazardous
-/// kernels can be examined to completion instead of aborting the process.
-pub trait MemCheck {
-    /// Whether this checker wants accesses routed through it. `false`
-    /// keeps the simulator's legacy panic-on-race asserts in place.
-    const ACTIVE: bool = false;
-
-    /// A block simulation starts: `w` lanes per warp, `u` threads, and a
-    /// shared-memory extent of `shared_len` words.
-    #[inline]
-    fn begin_block(&mut self, w: usize, u: usize, shared_len: usize) {
-        let _ = (w, u, shared_len);
-    }
-
-    /// A barrier-delimited phase opens.
-    #[inline]
-    fn phase_begin(&mut self, class: PhaseClass) {
-        let _ = class;
-    }
-
-    /// The phase closes (implicit barrier).
-    #[inline]
-    fn phase_end(&mut self, class: PhaseClass) {
-        let _ = class;
-    }
-
-    /// Warp `warp` starts executing the current phase.
-    #[inline]
-    fn warp_begin(&mut self, warp: usize) {
-        let _ = warp;
-    }
-
-    /// Warp `warp` finished the current phase (divergence checkpoint).
-    #[inline]
-    fn warp_end(&mut self, warp: usize, class: PhaseClass) {
-        let _ = (warp, class);
-    }
-
-    /// Lane `tid` touches shared word `idx` (`store` distinguishes write
-    /// from read). Return `false` to suppress the access (e.g. it is out
-    /// of bounds); suppressed loads yield `T::default()`.
-    #[inline]
-    fn shared_access(&mut self, tid: u32, idx: usize, store: bool) -> bool {
-        let _ = (tid, idx, store);
-        true
-    }
-
-    /// Lane `tid` touches global word `idx` of an array of `len` words.
-    /// Return `false` to suppress the access.
-    #[inline]
-    fn global_access(&mut self, tid: u32, idx: usize, len: usize, store: bool) -> bool {
-        let _ = (tid, idx, len, store);
-        true
-    }
-}
-
-/// The do-nothing checker: a zero-sized type whose hooks compile away,
-/// leaving the simulator's original panicking race asserts in force.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoCheck;
-
-impl MemCheck for NoCheck {}

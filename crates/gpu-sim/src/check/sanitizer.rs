@@ -1,7 +1,7 @@
 //! Dynamic hazard sanitizer: shadow memory + lock-step auditing for one
 //! simulated block.
 
-use super::MemCheck;
+use crate::block::Hooks;
 use crate::profiler::PhaseClass;
 use std::fmt;
 
@@ -145,10 +145,11 @@ impl fmt::Display for Finding {
     }
 }
 
-/// The dynamic sanitizer: a [`MemCheck`] implementation holding per-word
-/// shadow state (last writer, up to two distinct readers, init bit — all
-/// epoch-stamped so a barrier clears them in O(1)) and per-lane access
-/// counters for lock-step auditing.
+/// The dynamic sanitizer: [`Hooks`] holding per-word shadow state (last
+/// writer, up to two distinct readers, init bit — all epoch-stamped so a
+/// barrier clears them in O(1)) and per-lane access counters for
+/// lock-step auditing. It sets [`Hooks::CHECKS`], so every access of its
+/// block is routed through it.
 ///
 /// By default, [`PhaseClass::Search`] is exempt from the divergence check:
 /// the merge-path binary search is *predicated* — each lane runs
@@ -186,7 +187,7 @@ impl Default for Sanitizer {
 
 impl Sanitizer {
     /// A fresh sanitizer; shadow state is sized by
-    /// [`MemCheck::begin_block`] when a `BlockSim` adopts it.
+    /// [`Hooks::begin_block`] when a `BlockSim` adopts it.
     #[must_use]
     pub fn new() -> Self {
         let mut divergence_exempt = [false; PhaseClass::COUNT];
@@ -304,8 +305,8 @@ impl Sanitizer {
     }
 }
 
-impl MemCheck for Sanitizer {
-    const ACTIVE: bool = true;
+impl Hooks for Sanitizer {
+    const CHECKS: bool = true;
 
     fn begin_block(&mut self, w: usize, _u: usize, shared_len: usize) {
         self.w = w;

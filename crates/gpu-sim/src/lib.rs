@@ -10,9 +10,11 @@
 //! * [`block`] — a lock-step thread-block engine: kernels are sequences of
 //!   barrier-delimited phases; every lane's accesses are traced, aligned
 //!   into warp rounds, and costed. A built-in race detector panics on
-//!   missing barriers.
+//!   missing barriers. One [`Hooks`] parameter observes and corrupts a
+//!   block: `()` is the zero-cost null hooks, and a pair `(A, B)` runs
+//!   two hooks in sequence.
 //! * [`global`] — 32-byte-sector coalescing for global memory.
-//! * [`occupancy`] — the theoretical occupancy calculator behind the
+//! * [`mod@occupancy`] — the theoretical occupancy calculator behind the
 //!   paper's `E=15,u=512` (100%) vs `E=17,u=256` (75%) discussion.
 //! * [`timing`] — a documented, once-calibrated cost model turning
 //!   profiled counts into simulated runtimes.
@@ -21,16 +23,16 @@
 //! * [`device`] — device presets (RTX 2080 Ti-like; tiny teaching devices
 //!   for the paper's `w = 12`/`w = 9`/`w = 6` figures).
 //! * [`stats`] — running summaries and conflict-degree histograms.
-//! * [`trace`] — structured tracing: a zero-cost [`trace::Tracer`] hook in
-//!   the block engine, a Chrome-trace-event/Perfetto exporter, and
-//!   conflict forensics (see docs/OBSERVABILITY.md).
+//! * [`trace`] — structured tracing: the [`trace::BlockTracer`] hooks, a
+//!   Chrome-trace-event/Perfetto exporter, and conflict forensics (see
+//!   docs/OBSERVABILITY.md).
 //! * [`check`] — kernel analysis: a dynamic hazard sanitizer (races, OOB,
-//!   uninitialized reads, lock-step divergence) behind a zero-cost
-//!   [`check::MemCheck`] hook, plus a symbolic affine-address prover that
-//!   certifies schedules conflict-free for *all* inputs via the paper's
-//!   Corollaries 17/18 (see docs/ANALYSIS.md).
-//! * [`fault`] — deterministic fault injection behind a zero-cost
-//!   [`fault::FaultInjector`] hook: seeded [`fault::FaultPlan`]s of
+//!   uninitialized reads, lock-step divergence) as the
+//!   [`check::Sanitizer`] hooks, plus a symbolic affine-address prover
+//!   that certifies schedules conflict-free for *all* inputs via the
+//!   paper's Corollaries 17/18 (see docs/ANALYSIS.md).
+//! * [`fault`] — deterministic fault injection as the
+//!   [`fault::BlockFaults`] hooks: seeded [`fault::FaultPlan`]s of
 //!   bit-flips, stuck banks, lane drop-outs, and latency spikes, with
 //!   every firing recorded for forensics (see docs/ROBUSTNESS.md).
 //!
@@ -65,14 +67,14 @@ pub mod timing;
 pub mod trace;
 
 pub use banks::{BankModel, RoundCost};
-pub use block::{BlockSim, LaneCtx};
-pub use check::{BankShape, MemCheck, NoCheck, Sanitizer};
+pub use block::{BlockSim, Hooks, LaneCtx};
+pub use check::{BankShape, Sanitizer};
 pub use device::Device;
 pub use fault::{
-    BlockFaults, FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultWord,
-    InjectionRecord, NoFaults, Persistence,
+    BlockFaults, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultWord, InjectionRecord,
+    Persistence,
 };
 pub use occupancy::{occupancy, BlockResources, Occupancy};
 pub use profiler::{KernelProfile, PhaseClass, PhaseCounters};
 pub use timing::{LaunchConfig, TimeBreakdown, TimingModel};
-pub use trace::{BlockTracer, ConflictForensics, KernelTrace, NullTracer, SortTrace, Tracer};
+pub use trace::{BlockTracer, ConflictForensics, KernelTrace, SortTrace};

@@ -4,15 +4,15 @@
 //! The paper validates its claim with aggregate `nvprof` counters; this
 //! module answers the next question a performance engineer asks: *where
 //! inside the run* do the conflicts happen? [`BlockSim`](crate::block)
-//! feeds a [`Tracer`] with every barrier-delimited phase and every
+//! calls its [`Hooks`] on every barrier-delimited phase and every
 //! warp-level access round; [`BlockTracer`] records them on a
 //! transaction-weighted tick clock, and [`SortTrace::perfetto_json`]
 //! renders the result as Chrome trace-event JSON that loads directly in
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
-//! Tracing is strictly opt-in: the default [`NullTracer`] is a zero-sized
-//! type whose inlined empty hooks monomorphize to nothing, so untraced
-//! simulations pay no cost.
+//! Tracing is strictly opt-in: a block's default hooks are `()`, a
+//! zero-sized type whose inlined empty hooks monomorphize to nothing, so
+//! untraced simulations pay no cost.
 //!
 //! ## The tick clock
 //!
@@ -26,6 +26,7 @@
 //! sequentially); per-warp attribution survives in the event arguments.
 
 use crate::banks::{BankModel, RoundCost};
+use crate::block::Hooks;
 use crate::profiler::PhaseClass;
 use cfmerge_json::Json;
 
@@ -65,49 +66,6 @@ pub struct GlobalRoundEvent {
     pub ld_sectors: u64,
     /// 32-byte sectors the stores touched.
     pub st_sectors: u64,
-}
-
-/// Hooks the block engine calls while executing a kernel.
-///
-/// Every method has an inlined empty default, so implementors override
-/// only what they need and [`NullTracer`] compiles to nothing.
-pub trait Tracer {
-    /// Whether this tracer observes anything. The pipeline driver only
-    /// shares one block's simulation among blocks of identical order
-    /// pattern when every block's tracer is inactive, because a shared
-    /// simulation emits no events for the blocks that reuse it. Unlike
-    /// [`MemCheck::ACTIVE`](crate::check::MemCheck::ACTIVE) the default is
-    /// `true`, so a new tracer sees every block unless it opts out.
-    const ACTIVE: bool = true;
-
-    /// A barrier-delimited phase begins.
-    #[inline]
-    fn phase_begin(&mut self, _class: PhaseClass) {}
-
-    /// One warp shared-memory round was issued and costed.
-    #[inline]
-    fn shared_round(&mut self, _ev: &SharedRoundEvent<'_>) {}
-
-    /// One warp global-memory round was issued and coalesced.
-    #[inline]
-    fn global_round(&mut self, _ev: &GlobalRoundEvent) {}
-
-    /// `ops` scalar ALU operations were charged to the phase (summed over
-    /// all lanes of the block).
-    #[inline]
-    fn alu(&mut self, _class: PhaseClass, _ops: u64) {}
-
-    /// The phase's closing barrier.
-    #[inline]
-    fn phase_end(&mut self, _class: PhaseClass) {}
-}
-
-/// The zero-cost default tracer: records nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    const ACTIVE: bool = false;
 }
 
 /// A phase span on a block's tick timeline.
@@ -167,10 +125,10 @@ pub struct ConflictRound {
 /// degree are kept; aggregate statistics remain exact).
 pub const DEFAULT_CONFLICT_CAP: usize = 256;
 
-/// A [`Tracer`] that records one block's timeline: phase spans on a tick
+/// [`Hooks`] that record one block's timeline: phase spans on a tick
 /// clock, conflicted rounds with their address/bank multisets, per-bank
 /// transaction heat, and per-phase degree histograms.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockTracer {
     banks: BankModel,
     clock: u64,
@@ -271,7 +229,7 @@ impl BlockTracer {
     }
 }
 
-impl Tracer for BlockTracer {
+impl Hooks for BlockTracer {
     fn phase_begin(&mut self, class: PhaseClass) {
         debug_assert!(self.open_phase.is_none(), "phases cannot nest");
         self.open_phase = Some((class, self.clock));
@@ -599,12 +557,13 @@ mod tests {
     use crate::block::BlockSim;
 
     fn traced_block(u: usize, w: u32, len: usize) -> BlockSim<u32, BlockTracer> {
-        BlockSim::with_tracer(BankModel::new(w), u, len, BlockTracer::new(BankModel::new(w)))
+        BlockSim::with_hooks(BankModel::new(w), u, len, BlockTracer::new(BankModel::new(w)))
     }
 
     #[test]
-    fn null_tracer_is_zero_sized() {
-        assert_eq!(std::mem::size_of::<NullTracer>(), 0);
+    fn null_hooks_are_zero_sized() {
+        assert_eq!(std::mem::size_of::<()>(), 0);
+        assert_eq!(std::mem::size_of::<((), ())>(), 0);
     }
 
     #[test]
@@ -614,7 +573,7 @@ mod tests {
         b.phase(PhaseClass::Merge, |tid, lane| {
             let _ = lane.ld(tid);
         });
-        let tr = b.into_tracer();
+        let (_, tr) = b.finish();
         assert_eq!(tr.spans.len(), 2);
         assert_eq!(tr.spans[0].class, PhaseClass::LoadTile);
         assert_eq!(tr.spans[1].class, PhaseClass::Merge);
@@ -631,7 +590,7 @@ mod tests {
         b.phase(PhaseClass::Merge, |tid, lane| {
             let _ = lane.ld(tid * 8);
         });
-        let tr = b.into_tracer();
+        let (_, tr) = b.finish();
         assert_eq!(tr.conflicts.len(), 1);
         let c = &tr.conflicts[0];
         assert_eq!(c.degree, 8);
@@ -646,14 +605,14 @@ mod tests {
     #[test]
     fn conflict_cap_keeps_worst_rounds() {
         let banks = BankModel::new(8);
-        let mut b = BlockSim::<u32, _>::with_tracer(banks, 8, 128, BlockTracer::with_cap(banks, 2));
+        let mut b = BlockSim::<u32, _>::with_hooks(banks, 8, 128, BlockTracer::with_cap(banks, 2));
         // Three conflicted rounds of degrees 2, 8, 4.
         b.phase(PhaseClass::Merge, |tid, lane| {
             let _ = lane.ld(if tid < 2 { tid * 8 } else { 64 + tid }); // degree 2
             let _ = lane.ld(tid * 8); // degree 8
             let _ = lane.ld((tid % 4) * 8 + tid / 4); // degree 4
         });
-        let tr = b.into_tracer();
+        let (_, tr) = b.finish();
         assert_eq!(tr.conflicts.len(), 2);
         assert_eq!(tr.dropped_conflicts, 1);
         let mut degrees: Vec<u32> = tr.conflicts.iter().map(|c| c.degree).collect();
@@ -669,7 +628,7 @@ mod tests {
             let _ = lane.ld(tid); // conflict-free: degree 1
             let _ = lane.ld(tid * 8); // 8-way
         });
-        let tr = b.into_tracer();
+        let (_, tr) = b.finish();
         let g = &tr.degree_rounds[PhaseClass::Gather.index()];
         assert_eq!(g[1], 1);
         assert_eq!(g[8], 1);
@@ -693,7 +652,7 @@ mod tests {
                 name: "k0".into(),
                 grid_blocks: 1,
                 seconds: 1e-6,
-                blocks: vec![b.into_tracer()],
+                blocks: vec![b.finish().1],
             }],
         };
         let doc = trace.perfetto_json();
@@ -727,7 +686,7 @@ mod tests {
                 name: "k0".into(),
                 grid_blocks: 1,
                 seconds: 9e-9, // 9 ticks total → scale = 1 ns/tick
-                blocks: vec![b.into_tracer()],
+                blocks: vec![b.finish().1],
             }],
         };
         let folded = trace.folded_stacks();
@@ -751,7 +710,7 @@ mod tests {
                 name: "k0".into(),
                 grid_blocks: 1,
                 seconds: 1e-6,
-                blocks: vec![b.into_tracer()],
+                blocks: vec![b.finish().1],
             }],
         };
         let f = trace.forensics();

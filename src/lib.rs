@@ -59,9 +59,10 @@ pub mod prelude {
         SortAlgorithm, SortConfig, SortError, SortKey, SortRun, TracedSortRun,
     };
     pub use cfmerge_core::worst_case::WorstCaseBuilder;
+    pub use cfmerge_gpu_sim::block::Hooks;
     pub use cfmerge_gpu_sim::device::Device;
     pub use cfmerge_gpu_sim::fault::{FaultPlan, FaultSpec};
     pub use cfmerge_gpu_sim::profiler::KernelProfile;
     pub use cfmerge_gpu_sim::timing::TimingModel;
-    pub use cfmerge_gpu_sim::trace::{ConflictForensics, SortTrace, Tracer};
+    pub use cfmerge_gpu_sim::trace::{ConflictForensics, SortTrace};
 }

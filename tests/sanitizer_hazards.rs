@@ -7,14 +7,14 @@ use cfmerge::core::inputs::InputSpec;
 use cfmerge::core::params::SortParams;
 use cfmerge::core::sort::{simulate_sort_checked, SortAlgorithm, SortConfig};
 use cfmerge::gpu_sim::check::{Finding, Hazard, Sanitizer};
-use cfmerge::gpu_sim::{BankModel, BlockSim, NullTracer, PhaseClass};
+use cfmerge::gpu_sim::{BankModel, BlockSim, PhaseClass};
 
-fn block(u: usize, w: u32, len: usize) -> BlockSim<u32, NullTracer, Sanitizer> {
-    BlockSim::with_checker(BankModel::new(w), u, len, NullTracer, Sanitizer::new())
+fn block(u: usize, w: u32, len: usize) -> BlockSim<u32, Sanitizer> {
+    BlockSim::with_hooks(BankModel::new(w), u, len, Sanitizer::new())
 }
 
-fn findings(b: BlockSim<u32, NullTracer, Sanitizer>) -> Vec<Finding> {
-    let (_, _, ck) = b.finish_checked();
+fn findings(b: BlockSim<u32, Sanitizer>) -> Vec<Finding> {
+    let (_, ck) = b.finish();
     ck.into_findings()
 }
 
@@ -190,13 +190,7 @@ fn search_divergence_is_exempt_by_default() {
 fn search_exemption_can_be_revoked() {
     let mut ck = Sanitizer::new();
     ck.set_divergence_exempt(PhaseClass::Search, false);
-    let mut b = BlockSim::<u32, NullTracer, Sanitizer>::with_checker(
-        BankModel::new(8),
-        8,
-        32,
-        NullTracer,
-        ck,
-    );
+    let mut b = BlockSim::<u32, Sanitizer>::with_hooks(BankModel::new(8), 8, 32, ck);
     b.phase(PhaseClass::LoadTile, |tid, lane| {
         for r in 0..4 {
             lane.st(r * 8 + tid, 1);

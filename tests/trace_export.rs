@@ -96,7 +96,7 @@ fn pipeline_trace_export_is_schema_valid() {
 /// scales to exactly 1 µs, keeping every exported number an integer.
 fn tiny_trace() -> SortTrace {
     let w = 8u32;
-    let mut block = BlockSim::<u32, BlockTracer>::with_tracer(
+    let mut block = BlockSim::<u32, BlockTracer>::with_hooks(
         BankModel::new(w),
         8,
         64,
