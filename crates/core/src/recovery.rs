@@ -47,13 +47,14 @@ use crate::sort::error::{validate_sort_config, Degradation, SortError};
 use crate::sort::key::SortKey;
 use crate::sort::merge_pass::{merge_pass_block_faulty, MergeChunkJob};
 use crate::sort::pipeline::{sort_trace, KernelReport, SortAlgorithm, SortConfig, SortRun};
+use crate::telemetry::counter_set;
 use crate::verify::{multiset_checksum, verify_sorted_checksum, VerifyFailure};
 use cfmerge_gpu_sim::block::Hooks;
 use cfmerge_gpu_sim::fault::{FaultPlan, InjectionRecord};
 use cfmerge_gpu_sim::global::SECTOR_WORDS;
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
 use cfmerge_gpu_sim::trace::{BlockTracer, SortTrace};
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::{Json, ToJson};
 use cfmerge_mergepath::diagonal::{merge_path, merge_path_steps};
 use cfmerge_mergepath::partition::partition_merge;
 use rayon::prelude::*;
@@ -96,73 +97,30 @@ impl RobustConfig {
     }
 }
 
-/// Scalar recovery counters, designed to fold into run artifacts so CI
-/// can assert "N faults injected, N detected, N recovered".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryCounters {
-    /// Fault injections that actually fired (all kinds, spikes included).
-    pub faults_injected: u64,
-    /// Block verification failures observed (each failed attempt counts).
-    pub faults_detected: u64,
-    /// Distinct block executions that needed at least one retry.
-    pub blocks_retried: u64,
-    /// Total extra block executions (failed attempts that were re-run).
-    pub retries: u64,
-    /// Pipeline-level fallbacks taken.
-    pub fallbacks: u64,
-    /// Jobs that ended in [`SortError::UnrecoverableFault`] (only nonzero
-    /// in service-level aggregates — a run that returns `Ok` recovered
-    /// everything it detected).
-    pub unrecovered: u64,
-    /// Hedged duplicate executions launched for straggling blocks.
-    pub hedges_launched: u64,
-    /// Hedges whose duplicate beat the straggler.
-    pub hedges_won: u64,
-}
-
-impl RecoveryCounters {
-    /// Fold `other` into `self` field by field.
-    pub fn merge(&mut self, other: &RecoveryCounters) {
-        self.faults_injected += other.faults_injected;
-        self.faults_detected += other.faults_detected;
-        self.blocks_retried += other.blocks_retried;
-        self.retries += other.retries;
-        self.fallbacks += other.fallbacks;
-        self.unrecovered += other.unrecovered;
-        self.hedges_launched += other.hedges_launched;
-        self.hedges_won += other.hedges_won;
-    }
-}
-
-impl ToJson for RecoveryCounters {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("faults_injected", Json::from(self.faults_injected)),
-            ("faults_detected", Json::from(self.faults_detected)),
-            ("blocks_retried", Json::from(self.blocks_retried)),
-            ("retries", Json::from(self.retries)),
-            ("fallbacks", Json::from(self.fallbacks)),
-            ("unrecovered", Json::from(self.unrecovered)),
-            ("hedges_launched", Json::from(self.hedges_launched)),
-            ("hedges_won", Json::from(self.hedges_won)),
-        ])
-    }
-}
-
-impl FromJson for RecoveryCounters {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            faults_injected: v.field("faults_injected")?,
-            faults_detected: v.field("faults_detected")?,
-            blocks_retried: v.field("blocks_retried")?,
-            retries: v.field("retries")?,
-            fallbacks: v.field("fallbacks")?,
-            unrecovered: v.field("unrecovered")?,
-            // The hedge counters postdate the original schema; absent in
-            // pre-resilience artifacts.
-            hedges_launched: v.field_opt("hedges_launched")?.unwrap_or(0),
-            hedges_won: v.field_opt("hedges_won")?.unwrap_or(0),
-        })
+counter_set! {
+    /// Scalar recovery counters, designed to fold into run artifacts so CI
+    /// can assert "N faults injected, N detected, N recovered".
+    pub struct RecoveryCounters {
+        /// Fault injections that actually fired (all kinds, spikes included).
+        faults_injected: Required,
+        /// Block verification failures observed (each failed attempt counts).
+        faults_detected: Required,
+        /// Distinct block executions that needed at least one retry.
+        blocks_retried: Required,
+        /// Total extra block executions (failed attempts that were re-run).
+        retries: Required,
+        /// Pipeline-level fallbacks taken.
+        fallbacks: Required,
+        /// Jobs that ended in [`SortError::UnrecoverableFault`] (only nonzero
+        /// in service-level aggregates — a run that returns `Ok` recovered
+        /// everything it detected).
+        unrecovered: Required,
+        // The hedge counters postdate the original schema; absent in
+        // pre-resilience artifacts.
+        /// Hedged duplicate executions launched for straggling blocks.
+        hedges_launched: Defaulted,
+        /// Hedges whose duplicate beat the straggler.
+        hedges_won: Defaulted,
     }
 }
 
@@ -1282,6 +1240,7 @@ mod tests {
     use crate::sort::pipeline::simulate_sort;
     use crate::verify::verify_sorted_permutation;
     use cfmerge_gpu_sim::fault::{FaultKind, FaultSite, Persistence};
+    use cfmerge_json::FromJson;
 
     fn small_rcfg() -> RobustConfig {
         RobustConfig::new(SortConfig::with_params(SortParams::new(5, 32)))

@@ -1,21 +1,23 @@
 //! The multi-device cluster service: a deterministic discrete-event
 //! simulation of N sort devices behind one front door.
 //!
-//! [`ClusterService`] drives a fleet of [`SortService`]s (one per
-//! simulated device, possibly heterogeneous) over modeled time with the
-//! [`EventQueue`] as the single
-//! ordering authority. Jobs arrive on an open-loop schedule (see
-//! [`crate::resilience::loadgen`]), are admitted through the *cluster's*
-//! admission policy (the same typed shed decisions as the single-device
-//! service, replicated one level up), shard to a home device by tenant
-//! hash, and are dispatched by `(priority class, per-tenant served
+//! [`ClusterService`] drives one device executor per simulated device
+//! (possibly heterogeneous) — the same executor that sits behind
+//! [`SortService`]'s queue, with its own breakers, retry budget, tuning
+//! ladder, and modeled clock — over modeled time, with the
+//! [`EventQueue`] as the single ordering authority. Jobs arrive on an
+//! open-loop schedule (see [`crate::resilience::loadgen`]) and pass the
+//! shared admission decision ([`crate::resilience::admission`]) at
+//! arrival, against the cluster-wide in-flight count and with every
+//! queued fresh job sheddable. They shard to a home device by tenant
+//! hash and are dispatched by `(priority class, per-tenant served
 //! seconds, job id)` — idle devices steal from the longest queue.
 //!
 //! Device-level fault domains ([`crate::resilience::faultdomain`]) layer
 //! whole-device crashes, crash-with-restart, and degrade windows on top
-//! of PR 4's block-granular fault injection. A job interrupted by a
-//! crash migrates to a surviving compatible device from its last usable
-//! checkpoint (the PR 5 checksum-validated [`SortCheckpoint`] path);
+//! of the block-granular fault injection. A job interrupted by a crash
+//! migrates to a surviving compatible device from its last usable
+//! checkpoint (the checksum-validated [`SortCheckpoint`] path);
 //! migrations are priced in modeled time and tallied in
 //! [`ServiceCounters`]. When migration is off or impossible, the job
 //! fails with a typed [`SortError::DeviceLost`] /
@@ -25,7 +27,7 @@
 //! `tests/cluster_determinism.rs`): with device faults off, one device,
 //! all arrivals at `t = 0`, and one tenant/priority class, the cluster
 //! reproduces [`SortService`] bit for bit — same outcomes, same modeled
-//! clock, same counters.
+//! clock, same counters — under any admission policy.
 //!
 //! **Modeling notes** (honest imperfections, also in
 //! `docs/ROBUSTNESS.md`): the crash-interruption decision probes the
@@ -35,6 +37,8 @@
 //! total execution seconds without the degrade multiplier; and
 //! `lost_work_s` counts all device-seconds between dispatch and crash,
 //! including progress later salvaged from a checkpoint.
+//!
+//! [`SortService`]: crate::resilience::service::SortService
 
 use cfmerge_gpu_sim::fault::FaultPlan;
 use cfmerge_json::{Json, ToJson};
@@ -43,12 +47,13 @@ use crate::params::SortParams;
 use crate::recovery::{
     resume_sort_robust, simulate_sort_robust_checkpointed, RobustConfig, RobustSortRun,
 };
-use crate::resilience::admission::{estimate_sort_seconds, ShedPolicy};
+use crate::resilience::admission::{self, AdmissionConfig};
 use crate::resilience::checkpoint::{CheckpointPolicy, SortCheckpoint};
+use crate::resilience::device::{verify_table, Device, QueuedJob, Work};
 use crate::resilience::faultdomain::{DeviceFaultPlan, DeviceTimeline};
 use crate::resilience::loadgen::{ClusterRequest, Priority};
 use crate::resilience::scheduler::EventQueue;
-use crate::resilience::service::{ResilienceConfig, ServiceCounters, SortService};
+use crate::resilience::service::{JobId, ResilienceConfig, ServiceCounters};
 use crate::sort::pipeline::SortAlgorithm;
 use crate::sort::SortError;
 use crate::telemetry::{MetricsRegistry, MetricsSnapshot};
@@ -123,76 +128,47 @@ impl ClusterConfig {
 
     /// A single-device cluster under an explicit resilience policy (the
     /// parity configuration against [`SortService`]).
+    ///
+    /// [`SortService`]: crate::resilience::service::SortService
     #[must_use]
     pub fn single(device: RobustConfig, resilience: ResilienceConfig) -> Self {
         Self { resilience, ..Self::homogeneous(1, device) }
     }
 }
 
-/// A submitted job waiting to arrive/dispatch.
+/// A cluster job: the shared queued-job record plus what only the
+/// cluster tracks.
 #[derive(Debug)]
-struct PendingJob {
+struct ClusterJob {
     id: ClusterJobId,
-    label: String,
     tenant: String,
     priority: Priority,
     arrival_s: f64,
-    input: Vec<u32>,
-    algo: SortAlgorithm,
-    plan: FaultPlan,
-    deadline_s: Option<f64>,
+    /// Checkpoint migrations survived so far.
+    migrations: u32,
     cancelled: bool,
+    job: QueuedJob,
 }
 
-/// One unit of dispatchable work: a fresh job, or a checkpoint resume
-/// produced by migration.
-#[derive(Debug)]
-enum WorkItem {
-    Fresh { job: PendingJob, migrations: u32 },
-    Resume { job: PendingJob, checkpoint: Box<SortCheckpoint>, migrations: u32 },
-}
-
-impl WorkItem {
-    fn job(&self) -> &PendingJob {
-        match self {
-            WorkItem::Fresh { job, .. } | WorkItem::Resume { job, .. } => job,
-        }
-    }
-
-    fn migrations(&self) -> u32 {
-        match self {
-            WorkItem::Fresh { migrations, .. } | WorkItem::Resume { migrations, .. } => *migrations,
-        }
-    }
-
-    /// Key count, for migration pricing and admission bookkeeping.
-    fn n(&self) -> usize {
-        match self {
-            WorkItem::Fresh { job, .. } => job.input.len(),
-            WorkItem::Resume { checkpoint, .. } => checkpoint.n,
-        }
-    }
-}
-
-/// One simulated device: its inner service, compiled fault timeline, and
+/// One simulated device: its executor, compiled fault timeline, and
 /// local queue.
 struct DeviceSlot {
-    cfg: RobustConfig,
-    svc: SortService,
+    device: Device,
     timeline: DeviceTimeline,
-    queue: Vec<WorkItem>,
+    queue: Vec<ClusterJob>,
     up: bool,
     busy: bool,
 }
 
 impl DeviceSlot {
-    /// Whether `item` may run on this device. Fresh jobs run anywhere;
+    /// Whether `job` may run on this device. Fresh jobs run anywhere;
     /// a checkpoint is pinned to its `(E, u)` launch configuration.
-    fn compatible(&self, item: &WorkItem) -> bool {
-        match item {
-            WorkItem::Fresh { .. } => true,
-            WorkItem::Resume { checkpoint, .. } => {
-                self.cfg.base.params.e == checkpoint.e && self.cfg.base.params.u == checkpoint.u
+    fn compatible(&self, job: &QueuedJob) -> bool {
+        match &job.work {
+            Work::Fresh { .. } => true,
+            Work::Resume { checkpoint } => {
+                let params = self.device.config().base.params;
+                params.e == checkpoint.e && params.u == checkpoint.u
             }
         }
     }
@@ -201,7 +177,7 @@ impl DeviceSlot {
 /// Everything the event loop reacts to.
 enum ClusterEvent {
     /// A submitted job reaches the front door.
-    Arrival(Box<PendingJob>),
+    Arrival(Box<ClusterJob>),
     /// Device goes down (permanently or until its restart event).
     Crash(usize),
     /// Device rejoins after a crash-with-restart cooldown.
@@ -209,7 +185,7 @@ enum ClusterEvent {
     /// The job occupying the device finishes.
     Completion(usize),
     /// A migrated checkpoint lands in the target device's queue.
-    MigrationReady { device: usize, item: Box<WorkItem> },
+    MigrationReady { device: usize, job: Box<ClusterJob> },
 }
 
 /// How one cluster job ended.
@@ -253,6 +229,27 @@ pub struct ClusterOutcome {
 }
 
 impl ClusterOutcome {
+    /// The outcome of a job that never ran to completion on a device.
+    fn unrun(job: ClusterJob, device: Option<usize>, completed_s: f64, err: SortError) -> Self {
+        Self {
+            id: job.id,
+            label: job.job.label,
+            tenant: job.tenant,
+            priority: job.priority,
+            device,
+            arrival_s: job.arrival_s,
+            completed_s,
+            migrations: job.migrations,
+            result: Err(err),
+            quarantined: false,
+            probe: false,
+            degraded: false,
+            canary: false,
+            tuned: None,
+            retries_granted: 0,
+        }
+    }
+
     /// End-to-end modeled latency (queueing + execution).
     #[must_use]
     pub fn latency_s(&self) -> f64 {
@@ -289,18 +286,18 @@ impl ToJson for TenantSlo {
     }
 }
 
-/// Per-device execution summary (from the device's inner service).
+/// Per-device execution summary (from the device's executor).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSummary {
     /// Device index.
     pub device: usize,
-    /// Jobs the device's inner service executed.
+    /// Jobs the device executed.
     pub executed: u64,
     /// Executed jobs that verified in deadline.
     pub verified_ok: u64,
     /// Executed jobs that ended in a typed error.
     pub failed: u64,
-    /// The device's inner service clock (includes idle-time syncs).
+    /// The device's modeled clock (idle time included).
     pub clock_s: f64,
 }
 
@@ -321,9 +318,8 @@ impl ToJson for DeviceSummary {
 pub struct ClusterReport {
     /// Per-job outcomes in submission order.
     pub outcomes: Vec<ClusterOutcome>,
-    /// Cluster-level tallies merged with every device's inner counters
-    /// (inner `submitted`/`admitted` are zeroed first — the cluster
-    /// front door already counted those jobs once).
+    /// Front-door tallies merged with every device's executor
+    /// counters.
     pub counters: ServiceCounters,
     /// Makespan: the latest modeled completion time across all jobs.
     pub clock_s: f64,
@@ -410,7 +406,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// starting at modeled `t = 0`.
 pub struct ClusterService {
     config: ClusterConfig,
-    arrivals: Vec<PendingJob>,
+    arrivals: Vec<ClusterJob>,
     next_id: u64,
     telemetry: bool,
     tuning: Option<(TuningTable, TuningPolicy)>,
@@ -433,24 +429,19 @@ impl ClusterService {
         self.telemetry = true;
     }
 
-    /// Install a tuning ladder on every device's inner [`SortService`]
-    /// for all subsequent [`ClusterService::run`] calls. The table is
-    /// verified fail-closed up front (see
-    /// [`SortService::enable_tuning`]); each device then routes through
-    /// its *own* ladder (matched by device name), so a heterogeneous
-    /// fleet degrades per-profile.
+    /// Install a tuning ladder on every device for all subsequent
+    /// [`ClusterService::run`] calls. The table is verified fail-closed
+    /// here, once (see [`SortService::enable_tuning`]); each device then
+    /// routes through its *own* ladder (matched by device name), so a
+    /// heterogeneous fleet degrades per-profile.
+    ///
+    /// [`SortService::enable_tuning`]: crate::resilience::service::SortService::enable_tuning
     pub fn enable_tuning(
         &mut self,
         table: TuningTable,
         policy: TuningPolicy,
     ) -> Result<(), SortError> {
-        if let Err(why) = table.verify() {
-            return Err(SortError::Uncertified {
-                algo: "*".to_string(),
-                device: "cluster".to_string(),
-                why,
-            });
-        }
+        verify_table(&table, "cluster")?;
         self.tuning = Some((table, policy));
         Ok(())
     }
@@ -470,7 +461,9 @@ impl ClusterService {
         )
     }
 
-    /// Submit a fully specified job.
+    /// Submit a fully specified job. An `at_s` that is not a finite,
+    /// non-negative modeled time is refused at the front door with
+    /// [`SortError::InvalidArrival`].
     #[allow(clippy::too_many_arguments)]
     pub fn submit_at(
         &mut self,
@@ -483,20 +476,23 @@ impl ClusterService {
         plan: FaultPlan,
         deadline_s: Option<f64>,
     ) -> ClusterJobId {
-        debug_assert!(at_s.is_finite() && at_s >= 0.0, "arrivals must be at finite modeled times");
         let id = ClusterJobId(self.next_id);
         self.next_id += 1;
-        self.arrivals.push(PendingJob {
+        self.arrivals.push(ClusterJob {
             id,
-            label: label.to_string(),
             tenant: tenant.to_string(),
             priority,
             arrival_s: at_s,
-            input,
-            algo,
-            plan,
-            deadline_s,
+            migrations: 0,
             cancelled: false,
+            job: QueuedJob::fresh(
+                label,
+                input,
+                algo,
+                plan,
+                deadline_s,
+                CheckpointPolicy::default(),
+            ),
         });
         id
     }
@@ -544,21 +540,14 @@ impl ClusterService {
             .iter()
             .enumerate()
             .map(|(d, cfg)| {
-                // Device-local admission is unbounded: the cluster's
-                // front door already made every shed decision. Breaker
-                // and budget stay per-device.
-                let inner = ResilienceConfig {
-                    admission: crate::resilience::admission::AdmissionConfig::default(),
-                    ..self.config.resilience
-                };
-                let mut svc = SortService::with_resilience(cfg.clone(), inner);
+                // Breaker, budget and ladder are per-device; the
+                // admission bound belongs to the cluster's front door.
+                let mut device = Device::new(cfg.clone(), &self.config.resilience);
                 if let Some((table, policy)) = &self.tuning {
-                    svc.enable_tuning(table.clone(), *policy)
-                        .expect("table was verified at ClusterService::enable_tuning");
+                    device.set_tuning(table.clone(), *policy);
                 }
                 DeviceSlot {
-                    cfg: cfg.clone(),
-                    svc,
+                    device,
                     timeline: DeviceTimeline::compile(&self.config.faults, d),
                     queue: Vec::new(),
                     up: true,
@@ -568,7 +557,7 @@ impl ClusterService {
             .collect::<Vec<_>>();
 
         let mut sim = Sim {
-            resilience: self.config.resilience,
+            admission: self.config.resilience.admission,
             migration: self.config.migration,
             slots,
             eq: EventQueue::new(),
@@ -594,7 +583,11 @@ impl ClusterService {
             }
         }
         for job in std::mem::take(&mut self.arrivals) {
-            sim.eq.push(job.arrival_s, ClusterEvent::Arrival(Box::new(job)));
+            // The event queue orders usable modeled times only: a job
+            // whose arrival time is not one reaches the door at t = 0,
+            // where admission refuses it.
+            let at_s = if admission::valid_time(job.arrival_s) { job.arrival_s } else { 0.0 };
+            sim.eq.push(at_s, ClusterEvent::Arrival(Box::new(job)));
         }
         sim.run()
     }
@@ -603,7 +596,7 @@ impl ClusterService {
 /// The running simulation (split from [`ClusterService`] so the event
 /// loop can borrow its pieces independently).
 struct Sim {
-    resilience: ResilienceConfig,
+    admission: AdmissionConfig,
     migration: MigrationConfig,
     slots: Vec<DeviceSlot>,
     eq: EventQueue<ClusterEvent>,
@@ -658,38 +651,45 @@ impl Sim {
                 }
             }
             ClusterEvent::Completion(d) => self.slots[d].busy = false,
-            ClusterEvent::MigrationReady { device, item } => self.slots[device].queue.push(*item),
+            ClusterEvent::MigrationReady { device, job } => self.slots[device].queue.push(*job),
         }
     }
 
-    /// Cluster-level admission: replicates [`SortService`]'s decisions
-    /// (including the exact typed reasons) against the cluster-wide
-    /// in-flight count.
-    fn admit(&mut self, job: PendingJob, now: f64) {
-        self.counters.submitted += 1;
+    /// Cluster-level admission: the shared decision against the
+    /// cluster-wide in-flight count, with every queued fresh job (on any
+    /// device) sheddable. Resumes in flight are never shed.
+    fn admit(&mut self, job: ClusterJob, now: f64) {
+        let queued = self.slots.iter().enumerate().flat_map(|(d, slot)| {
+            slot.queue
+                .iter()
+                .enumerate()
+                .filter(|(_, j)| !j.job.is_resume())
+                .map(move |(pos, j)| ((d, pos), j.job.ticket(j.id.0)))
+        });
+        let verdict = admission::decide(
+            job.job.ticket(job.id.0),
+            Some(job.arrival_s),
+            queued,
+            self.in_flight,
+            self.admission,
+            &self.slots[0].device.config().base,
+        );
+        self.counters.merge(&verdict.counters);
         if let Some(reg) = &mut self.telemetry {
             reg.inc("cluster_jobs_submitted_total", 1);
         }
-        if let Some(d) = job.deadline_s {
-            if !d.is_finite() || d < 0.0 {
-                self.counters.invalid_deadline += 1;
-                if let Some(reg) = &mut self.telemetry {
-                    reg.inc("cluster_invalid_deadline_total", 1);
-                }
-                self.record_unrun(job, now, SortError::InvalidDeadline { deadline_s: d });
-                return;
-            }
+        // Remove victims back to front, so queue positions stay valid.
+        let mut evicted = verdict.evicted;
+        evicted.sort_by_key(|&(loc, _)| std::cmp::Reverse(loc));
+        for ((d, pos), err) in evicted {
+            let victim = self.slots[d].queue.remove(pos);
+            self.in_flight -= 1;
+            self.refuse(victim, now, err);
         }
-        let job = match self.resilience.admission.capacity {
-            Some(capacity) if self.in_flight >= capacity => {
-                match self.apply_shed(job, capacity, now) {
-                    Some(job) => job,
-                    None => return,
-                }
-            }
-            _ => job,
-        };
-        self.counters.admitted += 1;
+        if let Some(err) = verdict.refused {
+            self.refuse(job, now, err);
+            return;
+        }
         if let Some(reg) = &mut self.telemetry {
             reg.inc("cluster_jobs_admitted_total", 1);
         }
@@ -698,7 +698,7 @@ impl Sim {
             if let Some(reg) = &mut self.telemetry {
                 reg.inc("cluster_jobs_cancelled_total", 1);
             }
-            self.record_unrun(job, now, SortError::Cancelled);
+            self.outcomes.push(ClusterOutcome::unrun(job, None, now, SortError::Cancelled));
             return;
         }
         self.in_flight += 1;
@@ -706,135 +706,20 @@ impl Sim {
             reg.set_gauge("cluster_inflight", self.in_flight as f64);
         }
         let home = (fnv1a(&job.tenant) % self.slots.len() as u64) as usize;
-        self.slots[home].queue.push(WorkItem::Fresh { job, migrations: 0 });
+        self.slots[home].queue.push(job);
     }
 
-    /// The cluster is at capacity: decide who pays. Returns the incoming
-    /// job if it was admitted.
-    fn apply_shed(
-        &mut self,
-        incoming: PendingJob,
-        capacity: usize,
-        now: f64,
-    ) -> Option<PendingJob> {
-        match self.resilience.admission.policy {
-            ShedPolicy::RejectNewest => {
-                self.counters.shed_overload += 1;
-                self.record_shed(incoming, now, SortError::Overloaded { capacity });
-                None
-            }
-            ShedPolicy::RejectLargest => {
-                // Largest queued-not-running fresh job, ties to the
-                // newest — the same victim the single-device service
-                // picks, since its queue order is id order.
-                let mut victim: Option<(usize, u64, usize, usize)> = None;
-                for (d, slot) in self.slots.iter().enumerate() {
-                    for (pos, item) in slot.queue.iter().enumerate() {
-                        if let WorkItem::Fresh { job, .. } = item {
-                            if job.input.len() >= incoming.input.len() {
-                                let key = (job.input.len(), job.id.0);
-                                if victim.is_none_or(|(n, id, ..)| key > (n, id)) {
-                                    victim = Some((key.0, key.1, d, pos));
-                                }
-                            }
-                        }
-                    }
-                }
-                match victim {
-                    Some((n, _, d, pos)) => {
-                        self.counters.shed_largest += 1;
-                        self.in_flight -= 1;
-                        let evicted = self.slots[d].queue.remove(pos);
-                        let WorkItem::Fresh { job, .. } = evicted else { unreachable!() };
-                        let err = SortError::Shed {
-                            policy: ShedPolicy::RejectLargest.label(),
-                            reason: format!(
-                                "evicted ({n} keys) for a newer {}-key job with the queue at \
-                                 capacity {capacity}",
-                                incoming.input.len()
-                            ),
-                        };
-                        self.record_shed(job, now, err);
-                        Some(incoming)
-                    }
-                    None => {
-                        self.counters.shed_overload += 1;
-                        self.record_shed(incoming, now, SortError::Overloaded { capacity });
-                        None
-                    }
-                }
-            }
-            ShedPolicy::DeadlineAware => {
-                let base = self.slots[0].cfg.base.clone();
-                let mut doomed: Vec<PendingJob> = Vec::new();
-                for slot in &mut self.slots {
-                    let mut i = 0;
-                    while i < slot.queue.len() {
-                        let unreachable = match &slot.queue[i] {
-                            WorkItem::Fresh { job, .. } => job
-                                .deadline_s
-                                .is_some_and(|d| estimate_sort_seconds(job.input.len(), &base) > d),
-                            WorkItem::Resume { .. } => false,
-                        };
-                        if unreachable {
-                            if let WorkItem::Fresh { job, .. } = slot.queue.remove(i) {
-                                doomed.push(job);
-                            }
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-                if doomed.is_empty() {
-                    self.counters.shed_overload += 1;
-                    self.record_shed(incoming, now, SortError::Overloaded { capacity });
-                    return None;
-                }
-                doomed.sort_by_key(|j| j.id.0);
-                for job in doomed {
-                    self.counters.shed_deadline += 1;
-                    self.in_flight -= 1;
-                    let d = job.deadline_s.expect("shed for its deadline");
-                    let floor = estimate_sort_seconds(job.input.len(), &base);
-                    let err = SortError::Shed {
-                        policy: ShedPolicy::DeadlineAware.label(),
-                        reason: format!(
-                            "deadline {d:.3e}s unreachable: optimistic lower bound is {floor:.3e}s"
-                        ),
-                    };
-                    self.record_shed(job, now, err);
-                }
-                Some(incoming)
-            }
-        }
-    }
-
-    fn record_shed(&mut self, job: PendingJob, now: f64, err: SortError) {
+    /// Outcome for a job the front door refused or shed.
+    fn refuse(&mut self, job: ClusterJob, now: f64, err: SortError) {
         if let Some(reg) = &mut self.telemetry {
-            reg.inc("cluster_jobs_shed_total", 1);
+            let name = match err {
+                SortError::InvalidDeadline { .. } => "cluster_invalid_deadline_total",
+                SortError::InvalidArrival { .. } => "cluster_invalid_arrival_total",
+                _ => "cluster_jobs_shed_total",
+            };
+            reg.inc(name, 1);
         }
-        self.record_unrun(job, now, err);
-    }
-
-    /// Outcome for a job that never reached a device.
-    fn record_unrun(&mut self, job: PendingJob, now: f64, err: SortError) {
-        self.outcomes.push(ClusterOutcome {
-            id: job.id,
-            label: job.label,
-            tenant: job.tenant,
-            priority: job.priority,
-            device: None,
-            arrival_s: job.arrival_s,
-            completed_s: now,
-            migrations: 0,
-            result: Err(err),
-            quarantined: false,
-            probe: false,
-            degraded: false,
-            canary: false,
-            tuned: None,
-            retries_granted: 0,
-        });
+        self.outcomes.push(ClusterOutcome::unrun(job, None, now, err));
     }
 
     /// Keep handing work to free devices until nothing moves: own queue
@@ -846,14 +731,14 @@ impl Sim {
                 if !self.slots[d].up || self.slots[d].busy {
                     continue;
                 }
-                if let Some((item, stolen)) = self.take_item_for(d) {
+                if let Some((job, stolen)) = self.take_job_for(d) {
                     if stolen {
                         self.counters.steals += 1;
                         if let Some(reg) = &mut self.telemetry {
                             reg.inc("cluster_steals_total", 1);
                         }
                     }
-                    self.dispatch_one(d, item, now);
+                    self.dispatch_one(d, job, now);
                     progressed = true;
                 }
             }
@@ -863,12 +748,12 @@ impl Sim {
         }
     }
 
-    /// Best compatible item for device `d`: from its own queue, else
+    /// Best compatible job for device `d`: from its own queue, else
     /// stolen from the longest other queue (ties to the lowest index).
     /// "Best" = lowest `(priority rank, tenant served-seconds, job id)`,
     /// which reduces to strict submission order when every job shares a
     /// tenant and priority — the [`SortService`] parity condition.
-    fn take_item_for(&mut self, d: usize) -> Option<(WorkItem, bool)> {
+    fn take_job_for(&mut self, d: usize) -> Option<(ClusterJob, bool)> {
         if let Some(pos) = self.best_pos(d, d) {
             return Some((self.slots[d].queue.remove(pos), false));
         }
@@ -887,15 +772,14 @@ impl Sim {
         source.map(|(_, s, pos)| (self.slots[s].queue.remove(pos), true))
     }
 
-    /// Position of the best item in `src`'s queue that device `dst` can
+    /// Position of the best job in `src`'s queue that device `dst` can
     /// run.
     fn best_pos(&self, src: usize, dst: usize) -> Option<usize> {
         let mut best: Option<(usize, (u8, f64, u64))> = None;
-        for (pos, item) in self.slots[src].queue.iter().enumerate() {
-            if !self.slots[dst].compatible(item) {
+        for (pos, job) in self.slots[src].queue.iter().enumerate() {
+            if !self.slots[dst].compatible(&job.job) {
                 continue;
             }
-            let job = item.job();
             let key = (job.priority.rank(), self.served_s(&job.tenant), job.id.0);
             let better = best.as_ref().is_none_or(|(_, b)| {
                 key.0.cmp(&b.0).then(key.1.total_cmp(&b.1)).then(key.2.cmp(&b.2)).is_lt()
@@ -918,36 +802,37 @@ impl Sim {
         }
     }
 
-    fn dispatch_one(&mut self, d: usize, item: WorkItem, now: f64) {
+    fn dispatch_one(&mut self, d: usize, job: ClusterJob, now: f64) {
         let mult = self.slots[d].timeline.multiplier_at(now);
         if let Some((crash_s, _)) = self.slots[d].timeline.next_crash_after(now) {
-            let (elapsed, ckpts) = self.probe(d, &item);
+            let (elapsed, ckpts) = self.probe(d, &job.job);
             if now + elapsed * mult > crash_s {
-                self.interrupt(d, item, now, crash_s, mult, ckpts);
+                self.interrupt(d, job, now, crash_s, mult, ckpts);
                 return;
             }
         }
-        self.execute_on(d, item, now, mult);
+        self.execute_on(d, job, now, mult);
     }
 
-    /// Price the item against the device's baseline profile without
-    /// touching the inner service (the crash-interruption decision).
+    /// Price the job against the device's baseline profile without
+    /// touching the device's state (the crash-interruption decision).
     /// Failed probes price as 0 — a typed error "completes" instantly,
     /// before any crash.
-    fn probe(&self, d: usize, item: &WorkItem) -> (f64, Vec<SortCheckpoint>) {
-        match item {
-            WorkItem::Fresh { job, .. } => match simulate_sort_robust_checkpointed::<u32>(
-                &job.input,
-                job.algo,
-                &self.slots[d].cfg,
+    fn probe(&self, d: usize, job: &QueuedJob) -> (f64, Vec<SortCheckpoint>) {
+        let cfg = self.slots[d].device.config();
+        match &job.work {
+            Work::Fresh { input, algo } => match simulate_sort_robust_checkpointed::<u32>(
+                input,
+                *algo,
+                cfg,
                 &job.plan,
                 CheckpointPolicy::every_pass(),
             ) {
                 Ok((run, ckpts)) => (run.run.simulated_seconds, ckpts),
                 Err(_) => (0.0, Vec::new()),
             },
-            WorkItem::Resume { job, checkpoint, .. } => {
-                match resume_sort_robust::<u32>(checkpoint, &self.slots[d].cfg, &job.plan) {
+            Work::Resume { checkpoint } => {
+                match resume_sort_robust::<u32>(checkpoint, cfg, &job.plan) {
                     Ok(run) => (
                         (run.run.simulated_seconds - checkpoint.seconds_so_far).max(0.0),
                         Vec::new(),
@@ -964,7 +849,7 @@ impl Sim {
     fn interrupt(
         &mut self,
         d: usize,
-        item: WorkItem,
+        mut job: ClusterJob,
         now: f64,
         crash_s: f64,
         mult: f64,
@@ -986,66 +871,30 @@ impl Sim {
 
         if !self.migration.enabled {
             self.counters.device_lost += 1;
-            if let Some(reg) = &mut self.telemetry {
-                reg.inc("cluster_jobs_failed_total", 1);
-            }
-            let migrations = item.migrations();
-            let job = match item {
-                WorkItem::Fresh { job, .. } | WorkItem::Resume { job, .. } => job,
-            };
-            self.finish_failed(
-                job,
-                d,
-                crash_s,
-                migrations,
-                SortError::DeviceLost {
-                    device: d,
-                    reason: format!("whole-device crash at {crash_s:.3e}s with migration disabled"),
-                },
-            );
+            let reason = format!("whole-device crash at {crash_s:.3e}s with migration disabled");
+            self.fail(job, d, crash_s, SortError::DeviceLost { device: d, reason });
             return;
         }
-        let migrations = item.migrations() + 1;
-        if migrations > self.migration.max_migrations {
+        if job.migrations >= self.migration.max_migrations {
             self.counters.migrations_failed += 1;
-            if let Some(reg) = &mut self.telemetry {
-                reg.inc("cluster_jobs_failed_total", 1);
-            }
-            let done = item.migrations();
-            let job = match item {
-                WorkItem::Fresh { job, .. } | WorkItem::Resume { job, .. } => job,
-            };
-            self.finish_failed(
-                job,
-                d,
-                crash_s,
-                done,
-                SortError::MigrationFailed {
-                    from_device: d,
-                    reason: format!("migration cap {} exhausted", self.migration.max_migrations),
-                },
-            );
+            let reason = format!("migration cap {} exhausted", self.migration.max_migrations);
+            self.fail(job, d, crash_s, SortError::MigrationFailed { from_device: d, reason });
             return;
         }
-        // A resume re-migrates its own checkpoint; a fresh job upgrades
-        // to a resume if any checkpoint completed before the crash.
-        let next = match item {
-            WorkItem::Resume { job, checkpoint, .. } => {
-                WorkItem::Resume { job, checkpoint, migrations }
-            }
-            WorkItem::Fresh { job, .. } => match usable.into_iter().next_back() {
-                Some(cp) => WorkItem::Resume { job, checkpoint: Box::new(cp), migrations },
-                None => WorkItem::Fresh { job, migrations },
-            },
-        };
-        let cost = self.migration.fixed_s + self.migration.per_key_s * next.n() as f64;
+        // A fresh job upgrades to a resume from the last checkpoint that
+        // completed before the crash; a resume (whose probe captures no
+        // checkpoints) re-migrates its own.
+        if let Some(cp) = usable.into_iter().next_back() {
+            job.job.work = Work::Resume { checkpoint: Box::new(cp) };
+        }
+        let cost = self.migration.fixed_s + self.migration.per_key_s * job.job.n as f64;
         let ready = crash_s + cost;
         // Target: the compatible device that is up soonest after the
         // checkpoint lands; ties to the shortest queue, then the lowest
         // index. The crashed device itself is eligible if it restarts.
         let mut target: Option<(f64, usize, usize)> = None;
         for (t, slot) in self.slots.iter().enumerate() {
-            if !slot.compatible(&next) {
+            if !slot.compatible(&job.job) {
                 continue;
             }
             let Some(up_t) = slot.timeline.up_at_or_after(ready) else { continue };
@@ -1065,95 +914,39 @@ impl Sim {
                     reg.inc("cluster_migrations_total", 1);
                     reg.observe_seconds("cluster_migration_seconds", cost);
                 }
-                self.eq
-                    .push(ready, ClusterEvent::MigrationReady { device: t, item: Box::new(next) });
+                job.migrations += 1;
+                self.eq.push(ready, ClusterEvent::MigrationReady { device: t, job: Box::new(job) });
             }
             None => {
                 self.counters.migrations_failed += 1;
-                if let Some(reg) = &mut self.telemetry {
-                    reg.inc("cluster_jobs_failed_total", 1);
-                }
-                let done = next.migrations() - 1;
-                let job = match next {
-                    WorkItem::Fresh { job, .. } | WorkItem::Resume { job, .. } => job,
-                };
-                self.finish_failed(
-                    job,
-                    d,
-                    crash_s,
-                    done,
-                    SortError::MigrationFailed {
-                        from_device: d,
-                        reason: "no surviving compatible device".to_string(),
-                    },
-                );
+                let reason = "no surviving compatible device".to_string();
+                self.fail(job, d, crash_s, SortError::MigrationFailed { from_device: d, reason });
             }
         }
     }
 
     /// Outcome for a job killed by the fault domain (typed, counted,
     /// removed from flight).
-    fn finish_failed(
-        &mut self,
-        job: PendingJob,
-        d: usize,
-        at_s: f64,
-        migrations: u32,
-        err: SortError,
-    ) {
+    fn fail(&mut self, job: ClusterJob, d: usize, at_s: f64, err: SortError) {
         self.in_flight -= 1;
         if let Some(reg) = &mut self.telemetry {
+            reg.inc("cluster_jobs_failed_total", 1);
             reg.set_gauge("cluster_inflight", self.in_flight as f64);
         }
-        self.outcomes.push(ClusterOutcome {
-            id: job.id,
-            label: job.label,
-            tenant: job.tenant,
-            priority: job.priority,
-            device: Some(d),
-            arrival_s: job.arrival_s,
-            completed_s: at_s,
-            migrations,
-            result: Err(err),
-            quarantined: false,
-            probe: false,
-            degraded: false,
-            canary: false,
-            tuned: None,
-            retries_granted: 0,
-        });
+        self.outcomes.push(ClusterOutcome::unrun(job, Some(d), at_s, err));
     }
 
-    /// Run the item on device `d`'s inner service and record its
-    /// outcome. The device is occupied for the job's *device* seconds
-    /// (total minus the checkpointed prefix) scaled by any degrade
-    /// multiplier.
-    fn execute_on(&mut self, d: usize, item: WorkItem, now: f64, mult: f64) {
-        let slot = &mut self.slots[d];
-        // An idle device still saw modeled time pass: budget refill and
-        // breaker cooldowns are functions of the cluster clock.
-        slot.svc.sync_clock(now);
-        let (job, migrations, s0, outcome) = match item {
-            WorkItem::Fresh { mut job, migrations } => {
-                let input = std::mem::take(&mut job.input);
-                slot.svc.submit_with_faults(
-                    &job.label,
-                    input,
-                    job.algo,
-                    job.plan.clone(),
-                    job.deadline_s,
-                );
-                let o = slot.svc.drain().pop().expect("one job submitted");
-                (job, migrations, 0.0, o)
-            }
-            WorkItem::Resume { job, checkpoint, migrations } => {
-                let s0 = checkpoint.seconds_so_far;
-                slot.svc.submit_resume(&job.label, *checkpoint, job.plan.clone(), job.deadline_s);
-                let o = slot.svc.drain().pop().expect("one job submitted");
-                (job, migrations, s0, o)
-            }
+    /// Run the job on device `d`'s executor and record its outcome. The
+    /// device is occupied for the job's *device* seconds (total minus
+    /// the checkpointed prefix) scaled by any degrade multiplier.
+    fn execute_on(&mut self, d: usize, job: ClusterJob, now: f64, mult: f64) {
+        let s0 = match &job.job.work {
+            Work::Resume { checkpoint } => checkpoint.seconds_so_far,
+            Work::Fresh { .. } => 0.0,
         };
-        // The inner clock advanced by the job's execution seconds (a
+        let ClusterJob { id, tenant, priority, arrival_s, migrations, job, .. } = job;
+        let outcome = self.slots[d].device.execute(JobId(id.0), job, now);
+        // The device clock advanced by the job's execution seconds (a
         // deadline miss still advances by the time it burned); the
         // device itself is only occupied for the un-checkpointed suffix.
         let elapsed_exec = match &outcome.result {
@@ -1163,29 +956,29 @@ impl Sim {
         };
         let eff = (elapsed_exec - s0).max(0.0) * mult;
         let completed_s = now + eff;
-        self.add_served(&job.tenant, eff);
+        self.add_served(&tenant, eff);
         self.in_flight -= 1;
         if let Some(reg) = &mut self.telemetry {
             reg.inc("cluster_jobs_executed_total", 1);
             match &outcome.result {
                 Ok(_) => {
                     reg.inc("cluster_jobs_verified_total", 1);
-                    reg.observe_seconds("cluster_job_latency_seconds", completed_s - job.arrival_s);
+                    reg.observe_seconds("cluster_job_latency_seconds", completed_s - arrival_s);
                     let name =
-                        format!("cluster_tenant_{}_latency_seconds", job.tenant.replace('-', "_"));
-                    reg.observe_seconds(&name, completed_s - job.arrival_s);
+                        format!("cluster_tenant_{}_latency_seconds", tenant.replace('-', "_"));
+                    reg.observe_seconds(&name, completed_s - arrival_s);
                 }
                 Err(_) => reg.inc("cluster_jobs_failed_total", 1),
             }
             reg.set_gauge("cluster_inflight", self.in_flight as f64);
         }
         self.outcomes.push(ClusterOutcome {
-            id: job.id,
-            label: job.label,
-            tenant: job.tenant,
-            priority: job.priority,
+            id,
+            label: outcome.label,
+            tenant,
+            priority,
             device: Some(d),
-            arrival_s: job.arrival_s,
+            arrival_s,
             completed_s,
             migrations,
             result: outcome.result,
@@ -1204,37 +997,17 @@ impl Sim {
 
     /// The event queue is dry but work is still queued: every surviving
     /// device is either permanently down or incompatible. Fail each
-    /// stranded item with a typed device-scoped error, in id order.
+    /// stranded job with a typed device-scoped error, in id order.
     fn fail_stranded(&mut self, now: f64) {
-        let mut stranded: Vec<(usize, WorkItem)> = Vec::new();
+        let mut stranded: Vec<(usize, ClusterJob)> = Vec::new();
         for (d, slot) in self.slots.iter_mut().enumerate() {
-            for item in slot.queue.drain(..) {
-                stranded.push((d, item));
-            }
+            stranded.extend(slot.queue.drain(..).map(|job| (d, job)));
         }
-        stranded.sort_by_key(|(_, item)| item.job().id.0);
-        for (d, item) in stranded {
+        stranded.sort_by_key(|(_, job)| job.id.0);
+        for (d, job) in stranded {
             self.counters.device_lost += 1;
-            if let Some(reg) = &mut self.telemetry {
-                reg.inc("cluster_jobs_failed_total", 1);
-            }
-            let migrations = item.migrations();
-            let job = match item {
-                WorkItem::Fresh { job, .. } | WorkItem::Resume { job, .. } => job,
-            };
-            self.finish_failed(
-                job,
-                d,
-                now,
-                migrations,
-                SortError::DeviceLost {
-                    device: d,
-                    reason: "queued on a dead device with no surviving compatible device"
-                        .to_string(),
-                },
-            );
-            // finish_failed already counted the flight; device_lost was
-            // counted above.
+            let reason = "queued on a dead device with no surviving compatible device".to_string();
+            self.fail(job, d, now, SortError::DeviceLost { device: d, reason });
         }
     }
 
@@ -1244,19 +1017,15 @@ impl Sim {
         let mut counters = self.counters;
         let mut per_device = Vec::new();
         for (d, slot) in self.slots.iter().enumerate() {
-            let mut inner = *slot.svc.counters();
+            let executor = slot.device.counters;
             per_device.push(DeviceSummary {
                 device: d,
-                executed: inner.executed,
-                verified_ok: inner.verified_ok,
-                failed: inner.failed,
-                clock_s: slot.svc.clock_s(),
+                executed: executor.executed,
+                verified_ok: executor.verified_ok,
+                failed: executor.failed,
+                clock_s: slot.device.clock_s(),
             });
-            // The cluster front door already counted every submission
-            // and admission once.
-            inner.submitted = 0;
-            inner.admitted = 0;
-            counters.merge(&inner);
+            counters.merge(&executor);
         }
         let tenant_slos = Self::compute_slos(&self.outcomes);
         if let Some(reg) = &mut self.telemetry {
@@ -1313,8 +1082,9 @@ mod tests {
     use crate::inputs::InputSpec;
     use crate::params::SortParams;
     use crate::recovery::simulate_sort_robust;
-    use crate::resilience::admission::AdmissionConfig;
+    use crate::resilience::admission::{AdmissionConfig, ShedPolicy};
     use crate::resilience::faultdomain::{DeviceFaultEvent, DeviceFaultKind};
+    use crate::resilience::service::SortService;
     use crate::sort::pipeline::SortConfig;
 
     fn rcfg() -> RobustConfig {
@@ -1426,6 +1196,103 @@ mod tests {
         }
         assert_eq!(report.clock_s, svc.clock_s());
         assert_eq!(report.counters, *svc.counters());
+    }
+
+    #[test]
+    fn invalid_arrival_times_are_refused_at_the_door() {
+        let input = InputSpec::UniformRandom { seed: 96 }.generate(4 * 160);
+        let submit = |cluster: &mut ClusterService, label: &str, at_s: f64| {
+            cluster.submit_at(
+                label,
+                "default",
+                Priority::Interactive,
+                at_s,
+                input.clone(),
+                SortAlgorithm::CfMerge,
+                FaultPlan::none(),
+                None,
+            );
+        };
+        let mut alone = ClusterService::new(ClusterConfig::homogeneous(2, rcfg()));
+        submit(&mut alone, "valid", 1e-6);
+        let alone = alone.run();
+
+        let mut cluster = ClusterService::new(ClusterConfig::homogeneous(2, rcfg()));
+        cluster.enable_telemetry();
+        submit(&mut cluster, "valid", 1e-6);
+        for (label, at_s) in [("nan", f64::NAN), ("negative", -1.0), ("infinite", f64::INFINITY)] {
+            submit(&mut cluster, label, at_s);
+        }
+        let report = cluster.run();
+
+        for o in &report.outcomes[1..] {
+            assert!(
+                matches!(o.result, Err(SortError::InvalidArrival { .. })),
+                "{}: expected InvalidArrival, got {:?}",
+                o.label,
+                o.result
+            );
+            assert_eq!((o.device, o.completed_s), (None, 0.0), "{} never ran", o.label);
+        }
+        let c = &report.counters;
+        assert_eq!((c.submitted, c.admitted, c.invalid_arrival, c.executed), (4, 1, 3, 1));
+        assert!(report.clock_s.is_finite());
+        assert!(report
+            .tenant_slos
+            .iter()
+            .all(|r| r.p50_s.is_finite() && r.p99_s.is_finite() && r.p999_s.is_finite()));
+        let telemetry = report.telemetry.as_ref().expect("telemetry on");
+        assert!(matches!(
+            telemetry.get("cluster_invalid_arrival_total"),
+            Some(crate::telemetry::MetricValue::Counter(3))
+        ));
+
+        // The valid job's outcome is untouched by its refused neighbours.
+        let (a, b) = (&alone.outcomes[0], &report.outcomes[0]);
+        assert_eq!((a.device, a.completed_s), (b.device, b.completed_s));
+        let (ra, rb) = (a.result.as_ref().expect("valid job"), b.result.as_ref().expect("valid"));
+        assert_eq!(ra.run.output, rb.run.output);
+        assert_eq!(report.clock_s, alone.clock_s);
+        assert_eq!(report.tenant_slos, alone.tenant_slos);
+        // The counter serialises only when nonzero.
+        assert!(alone.counters.to_json().get("invalid_arrival").is_none());
+        assert!(report.counters.to_json().get("invalid_arrival").is_some());
+    }
+
+    #[test]
+    fn reject_largest_ties_evict_the_newest_across_devices() {
+        let mut cfg = ClusterConfig::homogeneous(2, rcfg());
+        cfg.resilience.admission = AdmissionConfig::bounded(2, ShedPolicy::RejectLargest);
+        let mut cluster = ClusterService::new(cfg);
+        let big = InputSpec::UniformRandom { seed: 97 }.generate(4 * 160);
+        let small = InputSpec::UniformRandom { seed: 98 }.generate(160);
+        // Two tenants that home to different devices, so the tied
+        // victims sit in different queues.
+        let tenants = ["a", "b", "c", "d"];
+        let homes = tenants.map(|t| fnv1a(t) % 2);
+        let older = tenants[0];
+        let newer = tenants[(1..4).find(|&i| homes[i] != homes[0]).expect("both homes used")];
+        let submit = |cluster: &mut ClusterService, tenant: &str, input: &[u32]| {
+            cluster.submit_at(
+                tenant,
+                tenant,
+                Priority::Interactive,
+                0.0,
+                input.to_vec(),
+                SortAlgorithm::CfMerge,
+                FaultPlan::none(),
+                None,
+            )
+        };
+        let older = submit(&mut cluster, older, &big);
+        let newer = submit(&mut cluster, newer, &big);
+        let incoming = submit(&mut cluster, "incoming", &small);
+        let report = cluster.run();
+        let by_id = |id: ClusterJobId| report.outcomes.iter().find(|o| o.id == id).unwrap();
+        assert!(by_id(older).result.is_ok());
+        assert!(matches!(&by_id(newer).result, Err(SortError::Shed { .. })));
+        assert!(by_id(incoming).result.is_ok());
+        assert_eq!(report.counters.shed_largest, 1);
     }
 
     #[test]

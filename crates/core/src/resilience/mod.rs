@@ -15,6 +15,7 @@ pub mod breaker;
 pub mod budget;
 pub mod checkpoint;
 pub mod cluster;
+mod device;
 pub mod faultdomain;
 pub mod hedge;
 pub mod loadgen;

@@ -161,14 +161,9 @@ impl MetricsRegistry {
     /// injected/detected (checksum failures), per-block retries,
     /// pipeline fallbacks, unrecovered faults, and hedge launches/wins.
     pub fn record_recovery(&mut self, prefix: &str, counters: &RecoveryCounters) {
-        self.inc(&format!("{prefix}_faults_injected_total"), counters.faults_injected);
-        self.inc(&format!("{prefix}_faults_detected_total"), counters.faults_detected);
-        self.inc(&format!("{prefix}_blocks_retried_total"), counters.blocks_retried);
-        self.inc(&format!("{prefix}_retries_total"), counters.retries);
-        self.inc(&format!("{prefix}_fallbacks_total"), counters.fallbacks);
-        self.inc(&format!("{prefix}_unrecovered_total"), counters.unrecovered);
-        self.inc(&format!("{prefix}_hedges_launched_total"), counters.hedges_launched);
-        self.inc(&format!("{prefix}_hedges_won_total"), counters.hedges_won);
+        for (name, value) in counters.fields() {
+            self.inc(&format!("{prefix}_{name}_total"), value);
+        }
     }
 
     /// Freeze the registry into a bit-stable [`MetricsSnapshot`]:

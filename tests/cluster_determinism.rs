@@ -12,17 +12,20 @@
 //!    `tests/thread_invariance.rs`, pin that contract.
 //! 2. **Single-device parity** — with faults off, one device, and every
 //!    arrival at `t = 0`, the cluster is bit-identical to `SortService`:
-//!    outcomes, modeled clock, and counters.
+//!    outcomes, modeled clock, and counters — under any admission bound
+//!    and shed policy, and with deadlines that are absent, generous,
+//!    unreachable, or invalid.
 
 use cfmerge::core::inputs::InputSpec;
 use cfmerge::core::params::SortParams;
 use cfmerge::core::recovery::RobustConfig;
 use cfmerge::core::resilience::{
     AdmissionConfig, ClusterConfig, ClusterReport, ClusterService, DeviceFaultPlan,
-    DeviceFaultSpec, LoadGenConfig, MigrationConfig, ResilienceConfig, ShedPolicy, SortService,
-    TrafficShape,
+    DeviceFaultSpec, LoadGenConfig, MigrationConfig, Priority, ResilienceConfig, ShedPolicy,
+    SortService, TrafficShape,
 };
 use cfmerge::core::sort::{SortAlgorithm, SortConfig};
+use cfmerge::gpu_sim::fault::FaultPlan;
 use cfmerge_json::ToJson;
 use proptest::prelude::*;
 
@@ -45,6 +48,15 @@ fn policy_strategy() -> impl Strategy<Value = AdmissionConfig> {
         1 => AdmissionConfig::bounded(cap, ShedPolicy::RejectNewest),
         2 => AdmissionConfig::bounded(cap, ShedPolicy::RejectLargest),
         _ => AdmissionConfig::bounded(cap, ShedPolicy::DeadlineAware),
+    })
+}
+
+/// Unbounded, or a bound of 1–4 under any shed policy.
+fn parity_admission_strategy() -> impl Strategy<Value = AdmissionConfig> {
+    (0usize..5, 0u8..3).prop_map(|(cap, p)| AdmissionConfig {
+        capacity: (cap > 0).then_some(cap),
+        policy: [ShedPolicy::RejectNewest, ShedPolicy::RejectLargest, ShedPolicy::DeadlineAware]
+            [usize::from(p)],
     })
 }
 
@@ -114,17 +126,19 @@ proptest! {
     }
 
     /// Property 2: a fault-free N=1 cluster with all arrivals at t=0 is
-    /// bit-identical to `SortService` for any job mix.
+    /// bit-identical to `SortService` for any job mix, admission bound,
+    /// shed policy, and deadline mix.
     #[test]
     fn prop_single_device_cluster_matches_sort_service(
         seed in any::<u64>(),
-        sizes in proptest::collection::vec(1usize..6, 1..6),
+        jobs in proptest::collection::vec((1usize..6, 0u8..4), 1..8),
+        admission in parity_admission_strategy(),
     ) {
         let params = SortParams::new(5, 32);
-        let mut svc = SortService::new(rcfg());
-        let mut cluster =
-            ClusterService::new(ClusterConfig::single(rcfg(), ResilienceConfig::default()));
-        for (i, tiles) in sizes.iter().enumerate() {
+        let resilience = ResilienceConfig { admission, ..ResilienceConfig::default() };
+        let mut svc = SortService::with_resilience(rcfg(), resilience);
+        let mut cluster = ClusterService::new(ClusterConfig::single(rcfg(), resilience));
+        for (i, &(tiles, deadline)) in jobs.iter().enumerate() {
             let n = tiles * params.tile() + i % 5;
             let input =
                 InputSpec::UniformRandom { seed: seed ^ ((i as u64) << 8) }.generate(n);
@@ -133,8 +147,21 @@ proptest! {
             } else {
                 SortAlgorithm::ThrustMergesort
             };
-            svc.submit(&format!("job-{i}"), input.clone(), algo);
-            cluster.submit(&format!("job-{i}"), input, algo);
+            // None, generous, unreachable (below even the optimistic
+            // lower bound), or invalid.
+            let deadline_s = [None, Some(1.0), Some(1e-12), Some(f64::NAN)][usize::from(deadline)];
+            let label = format!("job-{i}");
+            svc.submit_with_faults(&label, input.clone(), algo, FaultPlan::none(), deadline_s);
+            cluster.submit_at(
+                &label,
+                "default",
+                Priority::Interactive,
+                0.0,
+                input,
+                algo,
+                FaultPlan::none(),
+                deadline_s,
+            );
         }
         let svc_out = svc.drain();
         let report = cluster.run();
