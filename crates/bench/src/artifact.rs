@@ -59,6 +59,10 @@ pub struct RunRecord {
 
 impl RunRecord {
     /// Capture a finished [`SortRun`].
+    ///
+    /// # Panics
+    /// Panics on an empty run, which has no throughput: every recorded
+    /// run sorts at least one tile.
     #[must_use]
     pub fn from_run<K>(label: impl Into<String>, algo: SortAlgorithm, run: &SortRun<K>) -> Self {
         Self {
@@ -66,7 +70,7 @@ impl RunRecord {
             algorithm: algo.label().to_string(),
             n: run.n,
             simulated_seconds: run.simulated_seconds,
-            throughput: run.throughput(),
+            throughput: run.throughput().expect("a recorded run is not empty"),
             merge_conflicts: run.profile.merge_bank_conflicts(),
             kernels: run.kernels.clone(),
             recovery: None,

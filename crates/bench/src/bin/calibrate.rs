@@ -3,12 +3,13 @@
 
 use cfmerge_bench::artifact::{emit, RunArtifact, RunRecord};
 use cfmerge_core::inputs::InputSpec;
+use cfmerge_core::metrics::MetricsError;
 use cfmerge_core::params::SortParams;
 use cfmerge_core::sort::{simulate_sort, SortAlgorithm, SortConfig};
 use cfmerge_gpu_sim::device::Device;
 use cfmerge_json::Json;
 
-fn main() {
+fn main() -> Result<(), MetricsError> {
     let mut art = RunArtifact::new("calibrate", Device::rtx2080ti());
     for (e, u) in [(15usize, 512usize), (17, 256)] {
         let cfg = SortConfig::with_params(SortParams::new(e, u));
@@ -19,23 +20,13 @@ fn main() {
         let tr = simulate_sort(&random, SortAlgorithm::ThrustMergesort, &cfg);
         let cw = simulate_sort(&worst, SortAlgorithm::CfMerge, &cfg);
         let cr = simulate_sort(&random, SortAlgorithm::CfMerge, &cfg);
+        let (tw_tp, tr_tp, cw_tp, cr_tp) =
+            (tw.throughput()?, tr.throughput()?, cw.throughput()?, cr.throughput()?);
         println!("E={e} u={u} n={n}");
-        println!("  thrust-random : {:8.1} elem/us", tr.throughput());
-        println!(
-            "  thrust-worst  : {:8.1} elem/us  slowdown {:.3}",
-            tw.throughput(),
-            tr.throughput() / tw.throughput()
-        );
-        println!(
-            "  cf-random     : {:8.1} elem/us  vs thrust-random {:.3}",
-            cr.throughput(),
-            tr.throughput() / cr.throughput()
-        );
-        println!(
-            "  cf-worst      : {:8.1} elem/us  cf speedup on worst {:.3}",
-            cw.throughput(),
-            cw.throughput() / tw.throughput()
-        );
+        println!("  thrust-random : {tr_tp:8.1} elem/us");
+        println!("  thrust-worst  : {tw_tp:8.1} elem/us  slowdown {:.3}", tr_tp / tw_tp);
+        println!("  cf-random     : {cr_tp:8.1} elem/us  vs thrust-random {:.3}", tr_tp / cr_tp);
+        println!("  cf-worst      : {cw_tp:8.1} elem/us  cf speedup on worst {:.3}", cw_tp / tw_tp);
         for k in &tr.kernels[..2.min(tr.kernels.len())] {
             println!(
                 "  [rand {}] dominant={} global={:.2e} shared={:.2e} lat={:.2e} alu={:.2e}",
@@ -61,9 +52,9 @@ fn main() {
         art.add_summary(
             &format!("anchors_e{e}_u{u}"),
             Json::obj([
-                ("thrust_worst_slowdown", Json::from(tr.throughput() / tw.throughput())),
-                ("cf_random_overhead", Json::from(tr.throughput() / cr.throughput())),
-                ("cf_worst_speedup", Json::from(cw.throughput() / tw.throughput())),
+                ("thrust_worst_slowdown", Json::from(tr_tp / tw_tp)),
+                ("cf_random_overhead", Json::from(tr_tp / cr_tp)),
+                ("cf_worst_speedup", Json::from(cw_tp / tw_tp)),
             ]),
         );
         for (label, algo, run) in [
@@ -76,4 +67,5 @@ fn main() {
         }
     }
     emit(&art);
+    Ok(())
 }

@@ -1,6 +1,8 @@
-//! Certification gate: regenerate the device-parametric certificate
-//! table, cross-validate its verdicts, lint the schedules, audit registry
-//! completeness, and (with `--check PINNED.json`) fail on drift.
+//! Kernel gate: regenerate the device-parametric certificate table,
+//! cross-validate its verdicts, lint the schedules, audit registry
+//! completeness, run both pipelines under the dynamic
+//! [`Sanitizer`](cfmerge_gpu_sim::Sanitizer), and (with
+//! `--check PINNED.json`) fail on drift.
 //!
 //! Emits two artifacts into the results dir (`$CFMERGE_RESULTS_DIR`,
 //! default `results/`):
@@ -11,19 +13,22 @@
 //! * `kernel_cert.json` — a [`RunArtifact`] whose
 //!   `summaries.certificates` block carries the coverage counts the
 //!   perf gate (`bench_diff --gate`) compares, flagging newly-Unknown
-//!   shapes as coverage loss.
+//!   shapes as coverage loss, and whose `summaries.sanitizer_sweep`
+//!   lists one row per sanitizer run.
 //!
 //! Exit status is nonzero on any prover↔cost-model disagreement (a
 //! record failing cross-validation fails its `pass` bit), any lint
-//! finding, any registry-completeness gap, or any drift against a pinned
-//! table.
+//! finding, any registry-completeness gap, any sanitizer finding or
+//! wrongly sorted sweep output, or any drift against a pinned table.
 
 use cfmerge_bench::artifact::{emit, RunArtifact};
 use cfmerge_core::cert::{
     build_certificate_table, cert_configs, completeness_audit, device_profiles, diff_tables,
     CertificateTable,
 };
+use cfmerge_core::inputs::InputSpec;
 use cfmerge_core::params::SortParams;
+use cfmerge_core::sort::{simulate_sort_checked, SortAlgorithm, SortConfig};
 use cfmerge_gpu_sim::device::Device;
 use cfmerge_json::{Json, ToJson};
 use std::path::Path;
@@ -113,6 +118,10 @@ fn main() {
         }
     }
 
+    // ---- dynamic sanitizer sweep over the shipping pipelines ----
+    println!("\n=== kernel_cert: sanitizer sweep (races, OOB, uninit, divergence) ===");
+    let sweep = sanitizer_sweep(&mut failures);
+
     // ---- drift check against a pinned table ----
     if let Some(path) = &pinned_path {
         println!("\n=== kernel_cert: drift check vs {path} ===");
@@ -174,6 +183,7 @@ fn main() {
             ("strategies", verdict_counts(table.strategy_counts(), "strategy")),
         ]),
     );
+    art.add_summary("sanitizer_sweep", sweep);
     art.add_summary("failures", Json::from(failures as u64));
     emit(&art);
 
@@ -182,10 +192,64 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "\nkernel_cert: {} certificates across {} device profiles; all pass, lints clean.",
+        "\nkernel_cert: {} certificates across {} device profiles; all pass, lints clean, \
+         sanitizer clean.",
         table.records.len(),
         device_profiles().len()
     );
+}
+
+/// Run both pipelines at the paper's two parameter sets on worst-case,
+/// random and few-distinct inputs of four tiles (two merge passes, so
+/// every kernel runs) under the sanitizer, and check each output against
+/// `sort_unstable`. Counts every unclean or wrongly sorted run into
+/// `failures` and returns one row per run.
+fn sanitizer_sweep(failures: &mut usize) -> Json {
+    let w = Device::rtx2080ti().warp_width as usize;
+    let mut rows = Vec::new();
+    for (e, u) in [(15usize, 512usize), (17, 256)] {
+        let config = SortConfig::with_params(SortParams::new(e, u));
+        let n = 4 * e * u;
+        for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
+            for spec in [
+                InputSpec::WorstCase { w, e, u },
+                InputSpec::UniformRandom { seed: 0xC0FFEE },
+                InputSpec::FewDistinct { seed: 7, distinct: 3 },
+            ] {
+                let input = spec.generate(n);
+                let checked = simulate_sort_checked(&input, algo, &config);
+                let mut expect = input.clone();
+                expect.sort_unstable();
+                let sorted_ok = checked.run.output == expect;
+                let clean = checked.is_clean() && sorted_ok;
+                println!(
+                    "  {:<9} E={e:<3} u={u:<4} {:<22} {}",
+                    algo.label(),
+                    spec.label(),
+                    if clean { "clean" } else { "FINDINGS" },
+                );
+                if !clean {
+                    *failures += 1;
+                    if !sorted_ok {
+                        println!("    output is not sorted correctly");
+                    }
+                    for f in checked.findings.iter().take(10) {
+                        println!("    {f}");
+                    }
+                }
+                rows.push(Json::obj([
+                    ("algo", Json::from(algo.label())),
+                    ("e", Json::from(e)),
+                    ("u", Json::from(u)),
+                    ("input", Json::from(spec.label())),
+                    ("n", Json::from(n)),
+                    ("findings", Json::from(checked.findings.len() as u64 + checked.dropped)),
+                    ("sorted", Json::from(sorted_ok)),
+                ]));
+            }
+        }
+    }
+    Json::Arr(rows)
 }
 
 fn load_table(path: &Path) -> Result<CertificateTable, String> {

@@ -6,13 +6,13 @@
 
 use cfmerge_bench::artifact::{emit, RunArtifact, RunRecord};
 use cfmerge_core::inputs::InputSpec;
-use cfmerge_core::metrics::format_table;
+use cfmerge_core::metrics::{format_table, MetricsError};
 use cfmerge_core::params::SortParams;
 use cfmerge_core::sort::{simulate_sort, SortAlgorithm, SortConfig};
 use cfmerge_gpu_sim::device::Device;
 use cfmerge_numtheory::gcd;
 
-fn main() {
+fn main() -> Result<(), MetricsError> {
     let mut art = RunArtifact::new("noncoprime_penalty", Device::rtx2080ti());
     let mut rows = Vec::new();
     for e in [14usize, 15, 16, 17, 18] {
@@ -27,6 +27,7 @@ fn main() {
             let input = spec.generate(n);
             let thrust = simulate_sort(&input, SortAlgorithm::ThrustMergesort, &cfg);
             let cf = simulate_sort(&input, SortAlgorithm::CfMerge, &cfg);
+            let (thrust_tp, cf_tp) = (thrust.throughput()?, cf.throughput()?);
             art.runs.push(RunRecord::from_run(
                 format!("thrust/{input_label}/E={e},u=256"),
                 SortAlgorithm::ThrustMergesort,
@@ -41,9 +42,9 @@ fn main() {
                 e.to_string(),
                 d.to_string(),
                 input_label.to_string(),
-                format!("{:.0}", thrust.throughput()),
-                format!("{:.0}", cf.throughput()),
-                format!("{:.2}", cf.throughput() / thrust.throughput()),
+                format!("{thrust_tp:.0}"),
+                format!("{cf_tp:.0}"),
+                format!("{:.2}", cf_tp / thrust_tp),
                 thrust.profile.total_bank_conflicts().to_string(),
                 cf.profile.total_bank_conflicts().to_string(),
             ]);
@@ -72,4 +73,5 @@ fn main() {
          global merge passes stay conflict-free; see DESIGN.md.)"
     );
     emit(&art);
+    Ok(())
 }

@@ -19,10 +19,11 @@
 //!
 //! Binaries: `fig5`, `fig6`, `figures` (1/2/3/4/7/8), `theorem8`,
 //! `random_conflicts`, `noncoprime_penalty`, `occupancy_table`,
-//! `speedup_summary`, `ablation`, `sort_landscape`, `scan_table`,
-//! `calibrate`, plus the observability set `bench_diff` (artifact →
-//! speedup table, perf gate), `trace_fig5` (Perfetto trace dump), and
-//! `metrics_report` (metrics JSON + Prometheus + flamegraph export).
+//! `speedup_summary`, `ablation`, `calibrate`, plus the observability
+//! set `bench_diff` (artifact → speedup table, perf gate), `trace_fig5`
+//! (Perfetto trace dump), and `metrics_report` (metrics JSON +
+//! Prometheus + flamegraph export), and the gates `kernel_cert`
+//! (certificate table + sanitizer sweep), `tune` and `chaos`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

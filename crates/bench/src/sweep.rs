@@ -121,7 +121,7 @@ fn point_of(i: u32, run: &SortRun) -> SweepPoint {
         i,
         n: run.n,
         seconds: run.simulated_seconds,
-        throughput: run.throughput(),
+        throughput: run.throughput().expect("a sweep point sorts at least one tile"),
         conflicts_per_round: run.conflicts_per_merge_round(),
         merge_conflicts: run.profile.merge_bank_conflicts(),
     }

@@ -1,13 +1,16 @@
 //! Static conflict-freedom analysis of the shipping kernels.
 //!
-//! [`kernel_registry`] writes down, for every shared-memory phase of both
-//! pipelines, the symbolic address [`Pattern`] the phase follows and the
-//! [`Expectation`] we hold the prover to. [`check_registry`] runs the
-//! prover ([`cfmerge_gpu_sim::check::prove`]) over the registry and
+//! [`kernel_registry_on`] writes down, for every shared-memory phase of
+//! both pipelines on one device [`BankShape`], the symbolic address
+//! [`Pattern`] the phase follows and the [`Expectation`] we hold the
+//! prover to. [`check_registry_on`] runs the prover
+//! ([`cfmerge_gpu_sim::check::prove_on`]) over the registry and
 //! cross-validates every certified verdict against the bank cost model on
-//! sampled concretizations. The `kernel_check` bin and the analysis test
-//! suites both consume this, so a kernel edit that silently changes an
-//! address schedule fails the build, not a benchmark run months later.
+//! sampled concretizations. The certificate table
+//! ([`crate::cert::build_certificate_table`], emitted and gated by the
+//! `kernel_cert` bin) and the analysis test suites both consume this, so a
+//! kernel edit that silently changes an address schedule fails the build,
+//! not a benchmark run months later.
 //!
 //! The registry is *honest*: phases that are not conflict-free say so.
 //! The Thrust serial merge is [`Expectation::NotCertifiable`] (its
@@ -216,18 +219,6 @@ fn permuted_on(e: usize, shape: BankShape) -> Expectation {
     } else {
         Expectation::BoundedDegree(2)
     }
-}
-
-/// The full phase registry of one pipeline at parameters `(E, u)` on a
-/// `w`-bank, 32-bit-row device — the paper's shape. Compatibility wrapper
-/// over [`kernel_registry_on`].
-///
-/// # Panics
-/// Panics unless `u` is a power-of-two multiple of `w` (the blocksort's
-/// own launch precondition).
-#[must_use]
-pub fn kernel_registry(algo: SortAlgorithm, w: usize, e: usize, u: usize) -> Vec<PhaseSpec> {
-    kernel_registry_on(algo, BankShape::word32(w), e, u)
 }
 
 /// The full phase registry of one pipeline at parameters `(E, u)` on an
@@ -472,16 +463,6 @@ pub fn kernel_registry_on(
     specs
 }
 
-/// Prove every spec of [`kernel_registry`] (32-bit rows) and
-/// cross-validate the verdicts against the bank cost model.
-///
-/// # Panics
-/// Same conditions as [`kernel_registry`].
-#[must_use]
-pub fn check_registry(algo: SortAlgorithm, w: usize, e: usize, u: usize) -> Vec<PhaseReport> {
-    check_registry_on(algo, BankShape::word32(w), e, u)
-}
-
 /// Prove every spec of [`kernel_registry_on`] on an explicit device shape
 /// and cross-validate the verdicts against that shape's bank cost model.
 ///
@@ -514,7 +495,7 @@ mod tests {
     fn shipping_configs_pass_the_registry() {
         for (e, u) in [(15usize, 512usize), (17, 256)] {
             for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
-                for report in check_registry(algo, 32, e, u) {
+                for report in check_registry_on(algo, BankShape::word32(32), e, u) {
                     assert!(report.pass(), "{}", report.summary());
                 }
             }
@@ -523,7 +504,7 @@ mod tests {
 
     #[test]
     fn cf_gather_phases_are_certified_free() {
-        let reports = check_registry(SortAlgorithm::CfMerge, 32, 15, 512);
+        let reports = check_registry_on(SortAlgorithm::CfMerge, BankShape::word32(32), 15, 512);
         let gathers: Vec<_> = reports.iter().filter(|r| r.spec.phase.contains("gather")).collect();
         assert_eq!(gathers.len(), 2, "blocksort + merge-pass gathers");
         for g in gathers {
@@ -533,7 +514,8 @@ mod tests {
 
     #[test]
     fn thrust_serial_merge_is_not_certified() {
-        let reports = check_registry(SortAlgorithm::ThrustMergesort, 32, 15, 512);
+        let reports =
+            check_registry_on(SortAlgorithm::ThrustMergesort, BankShape::word32(32), 15, 512);
         let serial: Vec<_> = reports.iter().filter(|r| r.spec.phase == "serial-merge").collect();
         assert_eq!(serial.len(), 2, "blocksort + merge-pass serial merges");
         for s in serial {
@@ -546,7 +528,7 @@ mod tests {
         // E = 16, w = 32: the registry expects the strided phases and the
         // reversal-only gather to conflict (degree 16), the ρ gather to
         // stay free, and the permuting load to be refused — and passes.
-        let reports = check_registry(SortAlgorithm::CfMerge, 32, 16, 256);
+        let reports = check_registry_on(SortAlgorithm::CfMerge, BankShape::word32(32), 16, 256);
         for report in &reports {
             assert!(report.pass(), "{}", report.summary());
         }
@@ -641,8 +623,10 @@ mod tests {
         // completeness audit; the dynamic half lives in `cert.rs`).
         use cfmerge_gpu_sim::PhaseClass;
         for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
-            let classes: Vec<PhaseClass> =
-                kernel_registry(algo, 32, 15, 512).iter().map(|s| s.class).collect();
+            let classes: Vec<PhaseClass> = kernel_registry_on(algo, BankShape::word32(32), 15, 512)
+                .iter()
+                .map(|s| s.class)
+                .collect();
             for class in
                 [PhaseClass::LoadTile, PhaseClass::Search, PhaseClass::Sort, PhaseClass::StoreTile]
             {

@@ -17,7 +17,7 @@
 //! conflict-free, exactly how bad it is if not, or that the shape is
 //! outside the analyzed lattice (`Unknown` verdicts fail closed).
 
-use crate::analysis::{check_registry_on, PhaseReport};
+use crate::analysis::{check_registry_on, kernel_registry_on, PhaseReport};
 use crate::inputs::InputSpec;
 use crate::params::SortParams;
 use crate::sort::{simulate_sort, SortAlgorithm, SortConfig};
@@ -368,14 +368,13 @@ pub fn build_certificate_table() -> CertificateTable {
 /// description of every uncovered (kernel, class, direction).
 #[must_use]
 pub fn completeness_audit(params: SortParams) -> Vec<String> {
-    use crate::analysis::kernel_registry;
-
     let mut gaps = Vec::new();
     let config = SortConfig::with_params(params);
     let n = 4 * params.tile();
     let input = InputSpec::RandomPermutation { seed: 0xCE27 }.generate(n);
     for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
-        let registry = kernel_registry(algo, config.device.warp_width as usize, params.e, params.u);
+        let registry =
+            kernel_registry_on(algo, BankShape::of_device(&config.device), params.e, params.u);
         let covered = |kernel: &str, class: PhaseClass, access: &str| {
             registry.iter().any(|s| s.kernel == kernel && s.class == class && s.access == access)
         };

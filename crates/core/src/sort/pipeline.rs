@@ -14,6 +14,7 @@
 use super::blocksort::MergeStrategy;
 use super::error::SortError;
 use super::key::SortKey;
+use crate::metrics::{elements_per_us, MetricsError};
 use crate::params::SortParams;
 use crate::recovery::{simulate_sort_observed, Observers};
 use cfmerge_gpu_sim::check::{Finding, Sanitizer};
@@ -142,14 +143,12 @@ pub struct SortRun<K = u32> {
 impl<K> SortRun<K> {
     /// Throughput in elements/µs — the y-axis of Figures 5 and 6.
     ///
-    /// # Panics
-    /// Panics if the modeled runtime is non-positive — impossible for a
-    /// real run (every launch pays fixed overhead), so a failure here
-    /// means the run was constructed by hand with a bogus duration.
-    #[must_use]
-    pub fn throughput(&self) -> f64 {
-        crate::metrics::elements_per_us(self.n, self.simulated_seconds)
-            .expect("a simulated run always has positive modeled runtime")
+    /// # Errors
+    /// [`MetricsError::NonPositiveSeconds`] when the modeled runtime is
+    /// not positive: an empty input launches no kernel, so its run takes
+    /// 0 s and has no throughput.
+    pub fn throughput(&self) -> Result<f64, MetricsError> {
+        elements_per_us(self.n, self.simulated_seconds)
     }
 
     /// Mean bank conflicts per merge/gather round — the Karsin et al.
@@ -463,7 +462,7 @@ mod tests {
         assert_eq!(run.kernels[0].name, "blocksort");
         assert_eq!(run.kernels[3].name, "merge-pass-2");
         assert!(run.simulated_seconds > 0.0);
-        assert!(run.throughput() > 0.0);
+        assert!(run.throughput().unwrap() > 0.0);
     }
 
     #[test]
@@ -471,6 +470,7 @@ mod tests {
         let run = simulate_sort::<u32>(&[], SortAlgorithm::CfMerge, &cfg(15, 512));
         assert!(run.output.is_empty());
         assert_eq!(run.simulated_seconds, 0.0);
+        assert_eq!(run.throughput(), Err(MetricsError::NonPositiveSeconds { seconds: 0.0 }));
     }
 
     #[test]

@@ -44,8 +44,8 @@ impl fmt::Display for Access {
 }
 
 /// One barrier-delimited phase of a kernel, as the lint pass sees it:
-/// the schedules of [`kernel_registry`](../../..) lowered to (direction,
-/// pattern) pairs in execution order.
+/// the schedules of `cfmerge_core::analysis::kernel_registry_on` lowered
+/// to (direction, pattern) pairs in execution order.
 #[derive(Debug, Clone)]
 pub struct PhaseIr {
     /// Kernel the phase belongs to (`blocksort`, `merge-pass`, …).

@@ -5,13 +5,14 @@
 //! Run with: `cargo run --release --example custom_gpu`
 
 use cfmerge::core::inputs::InputSpec;
+use cfmerge::core::metrics::MetricsError;
 use cfmerge::core::params::SortParams;
 use cfmerge::core::sort::{simulate_sort, SortAlgorithm, SortConfig};
 use cfmerge::gpu_sim::device::Device;
 use cfmerge::gpu_sim::occupancy::{mergesort_regs_estimate, occupancy, BlockResources};
 use cfmerge::prelude::TimingModel;
 
-fn main() {
+fn main() -> Result<(), MetricsError> {
     // A hypothetical 16-lane-warp GPU (w = 16 banks) with a quarter of
     // the 2080 Ti's bandwidth.
     let mut device = Device::rtx2080ti();
@@ -50,12 +51,13 @@ fn main() {
         println!(
             "  {:<18} thrust {:7.0} e/µs ({} merge conflicts)   cf {:7.0} e/µs ({} merge conflicts)",
             spec.label(),
-            thrust.throughput(),
+            thrust.throughput()?,
             thrust.profile.merge_bank_conflicts(),
-            cf.throughput(),
+            cf.throughput()?,
             cf.profile.merge_bank_conflicts(),
         );
         assert_eq!(cf.profile.merge_bank_conflicts(), 0);
     }
     println!("\nthe CF gather is conflict-free for any warp width: the number theory\nonly assumes w banks and E elements per thread.");
+    Ok(())
 }

@@ -9,6 +9,7 @@
 
 use cfmerge::core::gather::simulate::permuted_tile;
 use cfmerge::core::gather::{dual_scan_block, intersect_counts, CfLayout, ThreadSplit};
+use cfmerge::core::metrics::MetricsError;
 use cfmerge::core::params::SortParams;
 use cfmerge::core::sort::{sort_pairs_stable, SortAlgorithm, SortConfig};
 use cfmerge::gpu_sim::banks::BankModel;
@@ -17,7 +18,7 @@ use cfmerge::gpu_sim::profiler::PhaseClass;
 use cfmerge::mergepath::partition::partition_merge;
 use rand::{Rng, SeedableRng};
 
-fn main() {
+fn main() -> Result<(), MetricsError> {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(2025);
     let (w, e, u) = (32usize, 15usize, 64usize);
     let tile = u * e;
@@ -72,7 +73,8 @@ fn main() {
     assert!(r.keys.is_sorted());
     println!(
         "\nstable sort-by-key of {n} pairs: {:.0} pairs/µs simulated, {} merge conflicts",
-        r.run.throughput(),
+        r.run.throughput()?,
         r.run.profile.merge_bank_conflicts()
     );
+    Ok(())
 }

@@ -3,6 +3,7 @@
 
 use cfmerge::core::gather::{CfLayout, GatherSchedule, ThreadSplit};
 use cfmerge::core::inputs::InputSpec;
+use cfmerge::core::metrics::MetricsError;
 use cfmerge::core::params::SortParams;
 use cfmerge::core::sort::{simulate_sort, SortAlgorithm, SortConfig};
 use cfmerge::core::worst_case::{lockstep_baseline_conflicts, predicted_warp_conflicts};
@@ -10,7 +11,7 @@ use cfmerge::gpu_sim::banks::BankModel;
 use cfmerge::gpu_sim::occupancy::{mergesort_regs_estimate, occupancy, BlockResources};
 use cfmerge::numtheory::residue::{is_complete_residue_system, r_j, r_prime_j};
 
-fn main() {
+fn main() -> Result<(), MetricsError> {
     println!("§2 Preliminaries — bank conflicts are a gcd phenomenon");
     let banks = BankModel::nvidia();
     for stride in [15usize, 17, 16] {
@@ -58,13 +59,13 @@ fn main() {
     let cw = simulate_sort(&worst, SortAlgorithm::CfMerge, &cfg);
     println!(
         "  thrust worst {:.0} e/µs vs random {:.0} e/µs (slowdown {:.2}×)",
-        tw.throughput(),
-        tr.throughput(),
-        tr.throughput() / tw.throughput()
+        tw.throughput()?,
+        tr.throughput()?,
+        tr.throughput()? / tw.throughput()?
     );
     println!(
         "  cf-merge on the same worst case: {:.0} e/µs, {} merge conflicts (the nvprof check)",
-        cw.throughput(),
+        cw.throughput()?,
         cw.profile.merge_bank_conflicts()
     );
 
@@ -80,4 +81,5 @@ fn main() {
         occ.blocks_per_sm
     );
     println!("\nFull reproduction: see EXPERIMENTS.md and the cfmerge-bench binaries.");
+    Ok(())
 }

@@ -3,11 +3,12 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use cfmerge::core::metrics::MetricsError;
 use cfmerge::core::sort::SortAlgorithm::{CfMerge, ThrustMergesort};
 use cfmerge::gpu_sim::profiler::PhaseClass;
 use cfmerge::prelude::*;
 
-fn main() {
+fn main() -> Result<(), MetricsError> {
     // 1 M uniform random keys, the paper's preferred software parameters
     // (E = 15 elements/thread, u = 512 threads/block) on an RTX 2080 Ti
     // model.
@@ -22,7 +23,7 @@ fn main() {
 
         println!("{name}:");
         println!("  simulated time : {:.3} ms", run.simulated_seconds * 1e3);
-        println!("  throughput     : {:.0} elements/µs", run.throughput());
+        println!("  throughput     : {:.0} elements/µs", run.throughput()?);
         println!(
             "  bank conflicts : {} total, {} while merging ({:.2} per merge step)",
             run.profile.total_bank_conflicts(),
@@ -47,4 +48,5 @@ fn main() {
          dual subsequence gather: its merge-phase transactions equal its requests —\n\
          zero bank conflicts, on every input."
     );
+    Ok(())
 }

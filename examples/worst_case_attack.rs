@@ -4,11 +4,12 @@
 //! Run with: `cargo run --release --example worst_case_attack`
 
 use cfmerge::core::inputs::InputSpec;
+use cfmerge::core::metrics::MetricsError;
 use cfmerge::core::sort::SortAlgorithm::{CfMerge, ThrustMergesort};
 use cfmerge::core::worst_case::{lockstep_baseline_conflicts, predicted_warp_conflicts};
 use cfmerge::prelude::*;
 
-fn main() {
+fn main() -> Result<(), MetricsError> {
     let config = SortConfig::paper_e15_u512();
     let (w, e, u) = (32usize, 15usize, 512usize);
     let n = 64 * e * u; // 64 tiles
@@ -36,15 +37,15 @@ fn main() {
     println!("                      random        worst-case    slowdown");
     println!(
         "  Thrust baseline   {:8.0} e/µs  {:8.0} e/µs   {:.2}×",
-        t_rand.throughput(),
-        t_worst.throughput(),
-        t_rand.throughput() / t_worst.throughput()
+        t_rand.throughput()?,
+        t_worst.throughput()?,
+        t_rand.throughput()? / t_worst.throughput()?
     );
     println!(
         "  CF-Merge          {:8.0} e/µs  {:8.0} e/µs   {:.2}×",
-        c_rand.throughput(),
-        c_worst.throughput(),
-        c_rand.throughput() / c_worst.throughput()
+        c_rand.throughput()?,
+        c_worst.throughput()?,
+        c_rand.throughput()? / c_worst.throughput()?
     );
     println!(
         "\n  Thrust merge-phase conflicts: {} (random) vs {} (worst)",
@@ -58,4 +59,5 @@ fn main() {
     );
     assert_eq!(c_worst.profile.merge_bank_conflicts(), 0);
     assert_eq!(t_worst.output, c_worst.output);
+    Ok(())
 }

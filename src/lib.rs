@@ -13,8 +13,6 @@
 //!   subsequence gather (Section 3), CF-Merge and the Thrust-style baseline
 //!   mergesort pipelines (Section 5), and the generalized worst-case input
 //!   construction (Section 4).
-//! * [`algos`] — companion GPU algorithms on the same simulator:
-//!   conflict-free scans, bitonic sort, radix sort (context baselines).
 //!
 //! ## Quickstart
 //!
@@ -36,7 +34,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use cfmerge_algos as algos;
 pub use cfmerge_core as core;
 pub use cfmerge_gpu_sim as gpu_sim;
 pub use cfmerge_mergepath as mergepath;

@@ -1,20 +1,15 @@
-//! Cross-crate integration: the companion algorithms against the core
-//! pipelines and CPU oracle on shared inputs.
+//! Cross-crate integration: the simulated GPU pipelines against the CPU
+//! merge sorts on shared inputs.
 
-use cfmerge::algos::bitonic::bitonic_sort;
-use cfmerge::algos::radix::radix_sort;
-use cfmerge::algos::scan::{block_exclusive_scan, exclusive_scan_reference, ScanKind};
 use cfmerge::core::inputs::InputSpec;
 use cfmerge::core::params::SortParams;
 use cfmerge::core::sort::{simulate_sort, SortAlgorithm, SortConfig};
-use cfmerge::gpu_sim::banks::BankModel;
-use cfmerge::gpu_sim::device::Device;
-use cfmerge::gpu_sim::timing::TimingModel;
+use cfmerge::mergepath::cpu::{merge_sort_par, merge_sort_seq};
 
 #[test]
 fn all_four_sorts_agree_on_every_input_shape() {
-    let dev = Device::rtx2080ti();
-    let tm = TimingModel::rtx2080ti_like();
+    // Thrust and CF-Merge on 3000 keys (ragged on the 160-key tiles of
+    // (5, 32)), checked against the sequential and parallel CPU merge sorts.
     let cfg = SortConfig::with_params(SortParams::new(5, 32));
     for spec in [
         InputSpec::UniformRandom { seed: 0xA11 },
@@ -37,41 +32,11 @@ fn all_four_sorts_agree_on_every_input_shape() {
             "cf on {}",
             spec.label()
         );
-        assert_eq!(bitonic_sort(&input, 32, &dev, &tm, false).output, expect);
-        assert_eq!(radix_sort(&input, 32, &dev, &tm, false).output, expect);
+        let mut seq = input.clone();
+        merge_sort_seq(&mut seq);
+        assert_eq!(seq, expect, "cpu seq on {}", spec.label());
+        let mut par = input.clone();
+        merge_sort_par(&mut par, 256);
+        assert_eq!(par, expect, "cpu par on {}", spec.label());
     }
-}
-
-#[test]
-fn scan_variants_and_conflict_contract() {
-    let input: Vec<u32> = (0..512).map(|i| i * 7 + 3).collect();
-    let expect = exclusive_scan_reference(&input);
-    let mut conflict_counts = Vec::new();
-    for kind in [ScanKind::HillisSteele, ScanKind::Blelloch, ScanKind::BlellochPadded] {
-        let (out, profile) = block_exclusive_scan(BankModel::nvidia(), &input, kind);
-        assert_eq!(out, expect, "{}", kind.label());
-        conflict_counts.push(profile.total_bank_conflicts());
-    }
-    // hillis-steele: 0, blelloch: > 0, padded: 0.
-    assert_eq!(conflict_counts[0], 0);
-    assert!(conflict_counts[1] > 0);
-    assert_eq!(conflict_counts[2], 0);
-}
-
-#[test]
-fn comparison_sorts_beat_bitonic_at_scale() {
-    // The landscape claim as a test: at 2^16 keys the merge-path sorts
-    // outrun bitonic in simulated time.
-    let dev = Device::rtx2080ti();
-    let tm = TimingModel::rtx2080ti_like();
-    let cfg = SortConfig::with_params(SortParams::e15_u512());
-    let input = InputSpec::UniformRandom { seed: 77 }.generate(1 << 16);
-    let merge = simulate_sort(&input, SortAlgorithm::CfMerge, &cfg);
-    let bitonic = bitonic_sort(&input, 256, &dev, &tm, true);
-    assert!(
-        merge.simulated_seconds < bitonic.simulated_seconds,
-        "cf-merge {:.2e}s vs bitonic {:.2e}s",
-        merge.simulated_seconds,
-        bitonic.simulated_seconds
-    );
 }

@@ -100,8 +100,8 @@ fn throughput_rises_with_n_before_saturation() {
         );
         assert!(run.simulated_seconds > prev_time, "time must grow with n");
         prev_time = run.simulated_seconds;
-        first_tp.get_or_insert(run.throughput());
-        last_tp = run.throughput();
+        last_tp = run.throughput().unwrap();
+        first_tp.get_or_insert(last_tp);
     }
     assert!(
         last_tp > 2.0 * first_tp.unwrap(),

@@ -5,7 +5,7 @@
 //! certify (the Thrust serial merge) must show real conflicts there —
 //! the refusal is informative, not conservative.
 
-use cfmerge::core::analysis::{check_registry, check_registry_on, Expectation};
+use cfmerge::core::analysis::{check_registry_on, Expectation};
 use cfmerge::core::cert::device_profiles;
 use cfmerge::core::inputs::InputSpec;
 use cfmerge::core::params::SortParams;
@@ -58,7 +58,7 @@ fn certified_cf_phases_have_zero_conflict_rounds_on_worst_case() {
     for (e, u) in [(15usize, 64usize), (17, 64)] {
         // Layer 1: the prover certifies the CF pipeline's data-movement
         // phases symbolically (no enumeration over inputs).
-        let reports = check_registry(SortAlgorithm::CfMerge, 32, e, u);
+        let reports = check_registry_on(SortAlgorithm::CfMerge, BankShape::word32(32), e, u);
         for phase in ["dual-gather", "load-tile", "permuting-load", "store-tile"] {
             for r in reports.iter().filter(|r| r.spec.phase == phase) {
                 assert!(
@@ -180,7 +180,7 @@ fn fused_banks_break_some_certificates_and_the_prover_says_so() {
 fn uncertified_serial_merge_really_conflicts_on_worst_case() {
     let (e, u) = (15usize, 64usize);
     // The prover refuses the serial merge (comparison-driven addresses) …
-    let reports = check_registry(SortAlgorithm::ThrustMergesort, 32, e, u);
+    let reports = check_registry_on(SortAlgorithm::ThrustMergesort, BankShape::word32(32), e, u);
     let refusals: Vec<_> = reports.iter().filter(|r| r.spec.phase == "serial-merge").collect();
     assert_eq!(refusals.len(), 2, "blocksort + merge-pass serial merges");
     for r in &refusals {
@@ -205,7 +205,7 @@ fn mid_width_writeback_verdict_matches_tracer() {
     // transactions). The tracer must observe Sort-class conflict rounds
     // of degree exactly 2 — no more — confirming the exact evaluation.
     let (e, u) = (15usize, 64usize);
-    let reports = check_registry(SortAlgorithm::CfMerge, 32, e, u);
+    let reports = check_registry_on(SortAlgorithm::CfMerge, BankShape::word32(32), e, u);
     assert!(reports.iter().any(|r| r.spec.phase.starts_with("merge-writeback")
         && r.spec.expected == Expectation::CertifiedDegree(2)
         && r.pass()));
